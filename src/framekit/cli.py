@@ -379,6 +379,11 @@ def run(argv=None):
         return int(exc.code or 0)
     try:
         text = _HANDLERS[args.verb](args)
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        else:
+            print(text)
     except _UsageError as exc:
         print("framekit %s: error: %s" % (args.verb, exc), file=sys.stderr)
         return 2
@@ -391,11 +396,6 @@ def run(argv=None):
     except json.JSONDecodeError as exc:
         print(dumps_report({"error": "parse_error", "detail": str(exc)}))
         return 1
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text)
     return 0
 
 

@@ -10,6 +10,8 @@ Conventions used throughout:
 * The frame operator is S = T^H T; the tightest bounds are its extreme
   eigenvalues.  A set of vectors spans iff lambda_min exceeds the frame
   threshold 1e-10 * max(lambda_max, 1).
+* Each Frame decomposes S once, on first use, and every operation below reads
+  that spectrum; the analysis matrix is read-only so it cannot go stale.
 """
 
 from dataclasses import dataclass
@@ -55,13 +57,27 @@ class Frame:
     """K vectors in C^N held as a K x N analysis matrix.
 
     Row k of ``analysis`` is conj(g_k); ``vectors`` recovers the g_k
-    themselves as rows.
+    themselves as rows.  ``analysis`` is a read-only copy of the input.
     """
 
     analysis: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "analysis", _as_complex_matrix(self.analysis, "analysis"))
+        arr = _as_complex_matrix(self.analysis, "analysis")
+        arr.flags.writeable = False
+        object.__setattr__(self, "analysis", arr)
+        object.__setattr__(self, "_solver", None)
+        object.__setattr__(self, "_spectrum", None)
+
+    def spectrum(self):
+        """(w, v) of the frame operator: ascending eigenvalues and a unitary
+        matrix of eigenvectors, read-only, computed on first use."""
+        if self._spectrum is None:
+            w, v = self._solver() if self._solver else jacobi_eigh(frame_operator(self))
+            w.flags.writeable = False
+            v.flags.writeable = False
+            object.__setattr__(self, "_spectrum", (w, v))
+        return self._spectrum
 
     @classmethod
     def from_vectors(cls, vectors):
@@ -147,14 +163,17 @@ def frame_operator(frame):
     return (s + s.conj().T) / 2.0
 
 
-def _operator_spectrum(frame):
-    s = frame_operator(frame)
-    w, v = jacobi_eigh(s)
-    return w, v
+def _with_solver(frame, solver):
+    """Let ``solver()`` supply the frame's spectrum instead of the dense solve.
+
+    For frames with structure (Gabor systems) that decompose S faster than
+    jacobi_eigh(S) does; solver must return what Frame.spectrum documents.
+    """
+    object.__setattr__(frame, "_solver", solver)
 
 
 def _spanning_spectrum(frame):
-    w, v = _operator_spectrum(frame)
+    w, v = frame.spectrum()
     if w[0] <= frame_threshold(w[-1]):
         raise NotAFrameError(
             "vectors do not span: lambda_min %.3e vs threshold %.3e"
@@ -169,22 +188,24 @@ def frame_bounds(frame):
     A is clamped at 0, so nonspanning sets report a lower bound of exactly 0
     up to eigensolver tolerance.
     """
-    w, _ = _operator_spectrum(frame)
+    w, _ = frame.spectrum()
     return FrameBounds(lower=float(max(w[0], 0.0)), upper=float(max(w[-1], 0.0)))
+
+
+def _inverse_operator(frame, root=False):
+    """S^{-1} (or S^{-1/2} with root=True) of a spanning frame."""
+    w, v = _spanning_spectrum(frame)
+    return (v * (1.0 / (np.sqrt(w) if root else w))) @ v.conj().T
 
 
 def canonical_dual(frame):
     """The frame S^{-1} g_k; its analysis matrix is T S^{-1}."""
-    w, v = _spanning_spectrum(frame)
-    inv = (v * (1.0 / w)) @ v.conj().T
-    return Frame(frame.analysis @ inv)
+    return Frame(frame.analysis @ _inverse_operator(frame))
 
 
 def pseudo_inverse(frame):
     """Moore-Penrose left inverse (S^{-1} T^H) of the analysis matrix."""
-    w, v = _spanning_spectrum(frame)
-    inv = (v * (1.0 / w)) @ v.conj().T
-    return inv @ frame.analysis.conj().T
+    return _inverse_operator(frame) @ frame.analysis.conj().T
 
 
 def left_inverse(frame, free_param=None):
@@ -221,9 +242,7 @@ def is_left_inverse(frame, matrix, tol=FRAME_RTOL):
 
 def range_projection(frame):
     """Orthogonal projection T S^{-1} T^H of C^K onto the range of T."""
-    w, v = _spanning_spectrum(frame)
-    inv = (v * (1.0 / w)) @ v.conj().T
-    p = frame.analysis @ inv @ frame.analysis.conj().T
+    p = frame.analysis @ _inverse_operator(frame) @ frame.analysis.conj().T
     return (p + p.conj().T) / 2.0
 
 
@@ -240,9 +259,7 @@ def reconstruct(frame, dual, coeffs):
 
 def tighten(frame):
     """Canonical tight frame S^{-1/2} g_k; its frame operator is I_N."""
-    w, v = _spanning_spectrum(frame)
-    inv_sqrt = (v * (1.0 / np.sqrt(w))) @ v.conj().T
-    return Frame(frame.analysis @ inv_sqrt)
+    return Frame(frame.analysis @ _inverse_operator(frame, root=True))
 
 
 def exactness_profile(frame, tol=FRAME_RTOL):

@@ -392,6 +392,15 @@ def test_output_file_matches_stdout(tmp_path, capsys):
     assert dest.read_text() == out
 
 
+def test_output_into_missing_directory_is_a_file_error(tmp_path, capsys):
+    path = write_matrix(tmp_path / "mb.json", MB_VECTORS)
+    dest = tmp_path / "missing" / "out.json"
+    code, out, err = run_cli(capsys, "frame-bounds", "--input", path, "--output", str(dest))
+    assert code == 1 and err == ""
+    assert json.loads(out)["error"] == "file_not_found"
+    assert not dest.parent.exists()
+
+
 def test_csv_format_for_matrix_reports(tmp_path, capsys):
     path = write_matrix(tmp_path / "f.json", np.eye(2))
     code, out, _ = run_cli(capsys, "frame-dual", "--input", path, "--format", "csv")

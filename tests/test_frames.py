@@ -18,6 +18,7 @@ from framekit import (
     frame_operator,
     harmonic_frame,
     is_left_inverse,
+    jacobi_eigh,
     left_inverse,
     naimark_dilate,
     pseudo_inverse,
@@ -476,3 +477,49 @@ def test_frame_from_vectors_conjugates():
     assert np.allclose(f.analysis, [[-1j, 0.0]])
     assert np.allclose(f.vectors, [[1j, 0.0]])
     assert np.allclose(f.synthesis, [[1j], [0.0]])
+
+
+def test_analysis_is_a_read_only_copy():
+    rows = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], dtype=complex)
+    f = Frame(rows)
+    with pytest.raises(ValueError):
+        f.analysis[0, 0] = 5.0
+    rows[0, 0] = 5.0
+    assert f.analysis[0, 0] == 1.0
+
+
+# --------------------------------------------------------- cached spectrum
+
+
+def test_one_solve_serves_every_operation(monkeypatch):
+    import framekit.frames
+
+    calls = []
+
+    def counting(mat, *args, **kwargs):
+        calls.append(np.shape(mat))
+        return jacobi_eigh(mat, *args, **kwargs)
+
+    monkeypatch.setattr(framekit.frames, "jacobi_eigh", counting)
+    f = random_frame(np.random.default_rng(211), dim=4, count=7)
+    frame_bounds(f)
+    canonical_dual(f)
+    pseudo_inverse(f)
+    left_inverse(f)
+    range_projection(f)
+    tighten(f)
+    exactness_profile(f)
+    assert calls == [(4, 4)]
+
+
+def test_spectrum_matches_eigh_and_is_read_only():
+    f = random_frame(np.random.default_rng(223), dim=5, count=9)
+    w, v = f.spectrum()
+    s = frame_operator(f)
+    assert np.allclose(w, np.linalg.eigvalsh(s), rtol=0, atol=1e-13 * np.linalg.norm(s))
+    assert np.allclose((v * w) @ v.conj().T, s, atol=1e-12 * np.linalg.norm(s))
+    assert f.spectrum()[0] is w
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+    with pytest.raises(ValueError):
+        v[0, 0] = 0.0

@@ -14,12 +14,12 @@ from framekit import (
     ParseError,
     canonical_dual,
     frame_bounds,
+    frame_operator,
 )
 from framekit.gabor import (
     GaborParams,
     build_gabor_frame,
     gabor_dual_prototype,
-    gabor_frame_operator,
     named_prototype,
     verify_wh_structure,
     weyl_matrix,
@@ -165,7 +165,7 @@ def test_frame_operator_commutes_with_system_shifts():
     rng = np.random.default_rng(97)
     for p in DIVISIBLE_CONFIGS:
         g = random_proto(rng, p.length)
-        s = gabor_frame_operator(g, p)
+        s = frame_operator(build_gabor_frame(g, p))
         scale = np.linalg.norm(s)
         for k in range(p.mods):
             for l in range(p.steps):
@@ -211,7 +211,7 @@ def test_pseudo_inverse_dual_of_rank_deficient_system():
     p = GaborParams(length=4, shift=2, mods=4)
     delta = np.array([1.0, 0.0, 0.0, 0.0])
     f = build_gabor_frame(delta, p)
-    s = gabor_frame_operator(delta, p)
+    s = frame_operator(f)
     assert np.allclose(s, np.diag([4.0, 0.0, 4.0, 0.0]), atol=1e-12)
     with pytest.raises(NotAFrameError):
         gabor_dual_prototype(delta, p)
@@ -262,3 +262,102 @@ def test_named_prototype_gaussian_even_length():
 def test_named_prototype_unknown():
     with pytest.raises(ParseError):
         named_prototype("hamming", 4)
+
+
+# ------------------------------------------------------------ Walnut blocks
+
+# every K | M system used above, including undersampled and full-density ones
+WALNUT_CONFIGS = DIVISIBLE_CONFIGS + [
+    GaborParams(length=4, shift=2, mods=1),
+    GaborParams(length=4, shift=2, mods=4),
+    GaborParams(length=6, shift=3, mods=2),
+    GaborParams(length=4, shift=1, mods=4),
+    GaborParams(length=6, shift=1, mods=6),
+    GaborParams(length=8, shift=1, mods=8),
+    GaborParams(length=48, shift=4, mods=12),
+]
+
+
+def test_build_is_bit_identical_to_weyl_shifts():
+    rng = np.random.default_rng(107)
+    for p in WALNUT_CONFIGS + [GaborParams(length=12, shift=2, mods=5)]:
+        g = random_proto(rng, p.length)
+        rows = [np.conj(weyl_shift(g, k, l, p)) for k in range(p.mods) for l in range(p.steps)]
+        assert np.array_equal(build_gabor_frame(g, p).analysis, np.array(rows))
+
+
+def test_walnut_spectrum_matches_dense_path():
+    rng = np.random.default_rng(109)
+    for p in WALNUT_CONFIGS:
+        g = random_proto(rng, p.length)
+        walnut = build_gabor_frame(g, p)
+        dense = Frame(walnut.analysis)  # same vectors, generic M x M solve
+        s = frame_operator(dense)
+        scale = np.linalg.norm(s)
+        w, v = walnut.spectrum()
+        assert np.max(np.abs(w - np.linalg.eigvalsh(s))) <= 1e-13 * scale
+        assert np.linalg.norm((v * w) @ v.conj().T - s) <= 1e-12 * scale
+        wb, db = frame_bounds(walnut), frame_bounds(dense)
+        assert abs(wb.lower - db.lower) <= 1e-13 * scale
+        assert abs(wb.upper - db.upper) <= 1e-13 * scale
+        if not db.spans():
+            assert not wb.spans()
+            continue
+        cond = db.upper / db.lower
+        dual = canonical_dual(walnut).analysis
+        assert np.max(np.abs(dual - canonical_dual(dense).analysis)) <= 1e-12 * cond * np.max(np.abs(dual))
+        gd = gabor_dual_prototype(g, p)
+        # row (k=0, l=0) of the dense canonical dual is S^{-1} g
+        want = canonical_dual(dense).vectors[0]
+        assert np.max(np.abs(gd - want)) <= 1e-12 * cond * np.max(np.abs(want))
+        assert np.allclose(gd, np.linalg.solve(s, g), rtol=0, atol=1e-12 * cond * np.max(np.abs(want)))
+
+
+def test_walnut_path_rejects_the_delta_window():
+    p = GaborParams(length=4, shift=2, mods=4)
+    delta = np.array([1.0, 0.0, 0.0, 0.0])
+    with pytest.raises(NotAFrameError):
+        gabor_dual_prototype(delta, p)
+    with pytest.raises(NotAFrameError):
+        canonical_dual(build_gabor_frame(delta, p))
+
+
+def record_solves(monkeypatch):
+    import framekit.frames
+    import framekit.gabor
+    from framekit import jacobi_eigh
+
+    shapes = []
+
+    def recording(mat, *args, **kwargs):
+        shapes.append(np.shape(mat))
+        return jacobi_eigh(mat, *args, **kwargs)
+
+    monkeypatch.setattr(framekit.frames, "jacobi_eigh", recording)
+    monkeypatch.setattr(framekit.gabor, "jacobi_eigh", recording)
+    return shapes
+
+
+def test_mods_not_dividing_length_keep_the_dense_solve(monkeypatch):
+    shapes = record_solves(monkeypatch)
+    rng = np.random.default_rng(113)
+    p = GaborParams(length=12, shift=2, mods=5)
+    g = random_proto(rng, 12)
+    f = build_gabor_frame(g, p)
+    b = frame_bounds(f)
+    assert shapes == [(12, 12)]
+    w = np.linalg.eigvalsh(frame_operator(f))
+    assert abs(b.lower - w[0]) <= 1e-13 * w[-1] and abs(b.upper - w[-1]) <= 1e-13 * w[-1]
+    assert np.allclose(gabor_dual_prototype(g, p), np.linalg.solve(frame_operator(f), g), atol=1e-10)
+
+
+def test_gabor_check_solves_no_dense_operator(monkeypatch, capsys):
+    from framekit import cli
+
+    shapes = record_solves(monkeypatch)
+    argv = ["gabor-check", "--proto", "gaussian", "--n", "48", "--shift", "4", "--mods", "12"]
+    assert cli.run(argv) == 0
+    assert '"wh_structure": true' in capsys.readouterr().out
+    # one stacked solve of the 12 Walnut blocks for the system's frame and
+    # one for the frame gabor_dual_prototype builds
+    assert shapes == [(12, 4, 4), (12, 4, 4)]

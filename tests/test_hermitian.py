@@ -1,4 +1,4 @@
-"""Tests for the cyclic Jacobi eigensolver, checked against numpy.linalg.eigh."""
+"""Tests for the round-robin Jacobi eigensolver, checked against numpy.linalg.eigh."""
 
 import numpy as np
 import pytest
@@ -9,9 +9,8 @@ from framekit import (
     NotHermitianError,
     is_hermitian,
     jacobi_eigh,
-    spectral_map,
 )
-from framekit.hermitian import off_diagonal_mass
+from framekit.hermitian import _round_robin, off_diagonal_mass
 
 
 def random_hermitian(rng, n):
@@ -122,7 +121,8 @@ def test_spectral_map_inverse():
     t = rng.standard_normal((9, 5)) + 1j * rng.standard_normal((9, 5))
     s = t.conj().T @ t
     s = (s + s.conj().T) / 2
-    inv = spectral_map(s, lambda w: 1.0 / w)
+    w, v = jacobi_eigh(s)
+    inv = (v / w) @ v.conj().T
     assert np.allclose(inv @ s, np.eye(5), atol=1e-9)
     assert np.allclose(inv, np.linalg.inv(s), atol=1e-9 * np.linalg.norm(inv))
 
@@ -132,5 +132,96 @@ def test_spectral_map_inverse_sqrt():
     t = rng.standard_normal((10, 4)) + 1j * rng.standard_normal((10, 4))
     s = t.conj().T @ t
     s = (s + s.conj().T) / 2
-    isq = spectral_map(s, lambda w: w ** -0.5)
+    w, v = jacobi_eigh(s)
+    isq = (v / np.sqrt(w)) @ v.conj().T
     assert np.allclose(isq @ isq @ s, np.eye(4), atol=1e-9)
+
+
+def test_is_hermitian_is_relative_to_the_largest_entry():
+    tiny = np.array([[0.0, 1e-13], [0.0, 0.0]])
+    assert not is_hermitian(tiny)
+    with pytest.raises(NotHermitianError):
+        jacobi_eigh(tiny)
+    assert is_hermitian(np.zeros((3, 3)))
+    rng = np.random.default_rng(31)
+    for scale in (1e-200, 1e-8, 1.0, 1e200):
+        assert is_hermitian(scale * random_hermitian(rng, 4))
+
+
+def test_is_hermitian_checks_each_stack_member_against_its_own_scale():
+    rng = np.random.default_rng(37)
+    stack = np.stack([1e6 * random_hermitian(rng, 3), random_hermitian(rng, 3)])
+    assert is_hermitian(stack)
+    stack[1, 0, 1] += 1e-3  # far below 1e-12 of member 0's largest entry
+    assert not is_hermitian(stack)
+    assert not is_hermitian(np.ones((2, 3, 4)))
+
+
+def random_stack(rng, shape, n):
+    z = rng.standard_normal(shape + (n, n)) + 1j * rng.standard_normal(shape + (n, n))
+    return (z + np.conj(np.swapaxes(z, -1, -2))) / 2
+
+
+def test_stacked_solve_matches_members_and_eigh():
+    rng = np.random.default_rng(41)
+    for n in (1, 2, 3, 4, 7, 10):
+        stack = random_stack(rng, (5,), n)
+        w, v = jacobi_eigh(stack)
+        assert w.shape == (5, n) and v.shape == (5, n, n)
+        w_ref = np.linalg.eigvalsh(stack)
+        for i, member in enumerate(stack):
+            scale = np.linalg.norm(member)
+            w_one, _ = jacobi_eigh(member)
+            assert np.max(np.abs(w[i] - w_one)) <= 1e-13 * scale
+            assert np.max(np.abs(w[i] - w_ref[i])) <= 1e-13 * scale
+            assert np.linalg.norm((v[i] * w[i]) @ v[i].conj().T - member) <= 1e-12 * scale
+            assert np.allclose(v[i].conj().T @ v[i], np.eye(n), atol=1e-13)
+
+
+def test_stack_keeps_leading_axes():
+    rng = np.random.default_rng(43)
+    stack = random_stack(rng, (2, 3), 4)
+    w, v = jacobi_eigh(stack)
+    assert w.shape == (2, 3, 4) and v.shape == (2, 3, 4, 4)
+    assert np.allclose(w, np.linalg.eigvalsh(stack), atol=1e-12)
+
+
+def test_stack_members_converge_to_their_own_norm():
+    rng = np.random.default_rng(47)
+    stack = random_stack(rng, (3,), 6) * np.array([1e-8, 1.0, 1e8])[:, None, None]
+    w, v = jacobi_eigh(stack)
+    for i, member in enumerate(stack):
+        scale = np.linalg.norm(member)
+        assert np.max(np.abs(w[i] - np.linalg.eigvalsh(member))) <= 1e-13 * scale
+        assert np.linalg.norm((v[i] * w[i]) @ v[i].conj().T - member) <= 1e-12 * scale
+
+
+def test_stack_with_one_non_hermitian_member_raises():
+    rng = np.random.default_rng(53)
+    stack = random_stack(rng, (4,), 5)
+    stack[2, 0, 3] += 0.5
+    with pytest.raises(NotHermitianError):
+        jacobi_eigh(stack)
+
+
+def test_round_robin_steps_cover_every_pair_once():
+    for n in range(1, 10):
+        p, q = _round_robin(n)
+        assert p.shape == q.shape == (n - 1 + n % 2, n // 2)
+        for step_p, step_q in zip(p, q):
+            touched = np.concatenate([step_p, step_q])
+            assert len(set(touched.tolist())) == touched.size  # disjoint pairs
+        pairs = sorted(zip(p.ravel().tolist(), q.ravel().tolist()))
+        assert pairs == [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def test_converged_members_are_not_rotated_further():
+    # off-diagonal mass 2.8e-13 is below this member's target 1e-13 * ||a||_F
+    # = 5.5e-13, though each entry is above the per-pair skip level
+    done = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
+    done[0, 1] = done[1, 0] = 2e-13
+    w, v = jacobi_eigh(done)
+    assert np.array_equal(w, [1.0, 2.0, 3.0, 4.0]) and np.array_equal(v, np.eye(4))
+    rng = np.random.default_rng(59)
+    w, v = jacobi_eigh(np.stack([done, random_hermitian(rng, 4)]))
+    assert np.array_equal(w[0], [1.0, 2.0, 3.0, 4.0]) and np.array_equal(v[0], np.eye(4))
