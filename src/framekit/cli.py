@@ -15,13 +15,13 @@ import numpy as np
 from . import frames, gabor, sampling
 from .errors import DomainError, ParseError
 from .serialization import (
+    _matrix_fields,
     dumps_report,
     format_float,
     load_json,
     load_matrix,
     load_vector,
     matrix_csv_text,
-    matrix_to_json,
 )
 
 SWEEP_HEADER = "oversampling_factor,analytic_mse,mc_mse,stderr"
@@ -107,14 +107,14 @@ def _load_frame(path):
 def _frame_text(frame, fmt):
     if fmt == "csv":
         return matrix_csv_text(frame.vectors)
-    return dumps_report(matrix_to_json(frame.vectors))
+    return dumps_report(_matrix_fields(frame.vectors))
 
 
 def _vector_text(vec, fmt):
     column = np.asarray(vec).reshape(-1, 1)
     if fmt == "csv":
         return matrix_csv_text(column)
-    return dumps_report(matrix_to_json(column))
+    return dumps_report(_matrix_fields(column))
 
 
 def _bounds_report(frame):
@@ -157,7 +157,7 @@ def _cmd_frame_naimark(args):
     return dumps_report(
         {
             "subspace_dim": dilation.subspace_dim,
-            "unitary": matrix_to_json(dilation.unitary),
+            "unitary": _matrix_fields(dilation.unitary),
         }
     )
 
@@ -167,7 +167,7 @@ def _cmd_frame_exactness(args):
     return dumps_report(
         {
             "classification": profile.classification,
-            "diagonal": [float(v) for v in profile.diagonal],
+            "diagonal": profile.diagonal,
         }
     )
 
@@ -242,6 +242,8 @@ def _sampling_setup(args, sweep=False):
     trials = _config_value(args, cfg, "trials", _as_strict_int, SAMPLE_DEFAULTS["trials"])
     seed = _config_value(args, cfg, "seed", _as_strict_int, SAMPLE_DEFAULTS["seed"])
     filter_spec = _config_value(args, cfg, "filter", str, SAMPLE_DEFAULTS["filter"])
+    # before any array is built; sample-reconstruct draws a single signal
+    sampling.check_trial_budget(n, 1 if args.verb == "sample-reconstruct" else trials)
     if sweep:
         if args.periods is not None:
             try:
@@ -295,17 +297,12 @@ def _cmd_sample_reconstruct(args):
     )
 
 
-def _mse_row(model, filt, sigma2, trials, seed):
-    signal = sampling.make_bandlimited(model.size, model.band, seed)
-    experiment = sampling.monte_carlo_mse(signal, filt, model, sigma2, trials, seed)
-    return experiment
-
-
 def _cmd_sample_mse(args):
     n, band, period, sigma2, trials, seed, filter_spec = _sampling_setup(args)
     model = sampling.SamplingModel(size=n, band=band, period=period)
     filt = _resolve_filter(filter_spec, model)
-    experiment = _mse_row(model, filt, sigma2, trials, seed)
+    signal = sampling.make_bandlimited(n, band, seed)
+    experiment = sampling.monte_carlo_mse(signal, filt, model, sigma2, trials, seed)
     report = {
         "n": n,
         "band": band,
@@ -332,7 +329,8 @@ def _cmd_sample_sweep(args):
     for period in periods:
         model = sampling.SamplingModel(size=n, band=band, period=period)
         filt = _resolve_filter(filter_spec, model)
-        experiment = _mse_row(model, filt, sigma2, trials, seed)
+        signal = sampling.make_bandlimited(n, band, seed)
+        experiment = sampling.monte_carlo_mse(signal, filt, model, sigma2, trials, seed)
         rows.append(
             {
                 "oversampling_factor": model.oversampling,

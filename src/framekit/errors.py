@@ -57,6 +57,18 @@ class ConvergenceError(DomainError):
     code = "no_convergence"
 
 
+class NumericOverflowError(DomainError):
+    """An intermediate (such as the frame operator) overflowed to inf or nan."""
+
+    code = "overflow"
+
+
+class SizeLimitError(DomainError):
+    """A requested size exceeds a documented limit; nothing was allocated."""
+
+    code = "too_large"
+
+
 class ParseError(DomainError):
     """Malformed input file."""
 

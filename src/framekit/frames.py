@@ -23,6 +23,7 @@ from .errors import (
     NotAFrameError,
     NotTightUnitError,
     NotUnitaryError,
+    NumericOverflowError,
 )
 from .hermitian import jacobi_eigh
 
@@ -156,11 +157,22 @@ def analyze(frame, signal):
     return frame.analysis @ f
 
 
+def _checked_operator(s):
+    """s itself, or NumericOverflowError when forming it overflowed to inf/nan.
+
+    Callers form s under np.errstate so an overflow prints no warning.
+    """
+    if not np.isfinite(s).all():
+        raise NumericOverflowError("frame operator overflows: entries too large for float64")
+    return s
+
+
 def frame_operator(frame):
     """S = T^H T, returned exactly Hermitian."""
     t = frame.analysis
-    s = t.conj().T @ t
-    return (s + s.conj().T) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = t.conj().T @ t
+        return _checked_operator((s + s.conj().T) / 2.0)
 
 
 def _with_solver(frame, solver):

@@ -26,11 +26,14 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ParseError
-from .frames import Frame, _inverse_operator, _with_solver
+from .errors import DimensionMismatchError, ParseError, SizeLimitError
+from .frames import Frame, _checked_operator, _inverse_operator, _with_solver
 from .hermitian import jacobi_eigh
 
 PROTOTYPE_NAMES = ("delta", "gaussian", "boxcar")
+# Largest of the system's K*L x M analysis matrix and its M x M frame
+# operator, in entries: 2^24 complex entries are 256 MiB.
+MAX_GABOR_ENTRIES = 2**24
 
 
 @dataclass(frozen=True)
@@ -49,6 +52,12 @@ class GaborParams:
         if self.length % self.shift:
             raise DimensionMismatchError(
                 "shift %d must divide length %d" % (self.shift, self.length)
+            )
+        entries = max(self.count, self.length) * self.length
+        if entries > MAX_GABOR_ENTRIES:
+            raise SizeLimitError(
+                "%d vectors in C^%d need %d matrix entries, over the limit of %d"
+                % (self.count, self.length, entries, MAX_GABOR_ENTRIES)
             )
 
     @property
@@ -110,7 +119,8 @@ def _walnut_spectrum(g, params):
     size = m // k
     n = np.arange(k)[:, None, None] + k * np.arange(size)[None, :, None]
     cols = g[(n - params.shift * np.arange(params.steps)[None, None, :]) % m]
-    blocks = k * (cols @ np.conj(np.swapaxes(cols, -1, -2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks = _checked_operator(k * (cols @ np.conj(np.swapaxes(cols, -1, -2))))
     w, u = jacobi_eigh(blocks)
     # v[j*K + r, r*size + i] = u[r, j, i]
     v = np.zeros((size, k, k, size), dtype=np.complex128)

@@ -25,10 +25,14 @@ from .errors import (
     DimensionMismatchError,
     NotPerfectReconstructionError,
     ProtectedBinError,
+    SizeLimitError,
 )
 from .frames import Frame
 
 PR_TOL = 1e-9
+# Monte Carlo work limit, trials * N.  With trials >= 1 it also bounds N, so
+# at the limit neither the per-trial results nor one signal exceeds 256 MiB.
+MAX_TRIAL_SAMPLES = 2**24
 
 
 @dataclass(frozen=True)
@@ -114,13 +118,14 @@ def make_bandlimited(size, band, seed):
     return x / norm
 
 
-def is_bandlimited(x, band, tol=1e-12):
-    x = np.asarray(x, dtype=np.complex128)
-    spectrum = np.fft.fft(x)
-    nu = centered_bins(x.shape[0])
-    outside = np.abs(spectrum[np.abs(nu) > band])
-    scale = max(float(np.max(np.abs(spectrum))), 1.0)
-    return bool(outside.size == 0 or np.max(outside) <= tol * scale)
+def check_trial_budget(size, trials):
+    """Raise SizeLimitError, before anything is allocated, when
+    max(trials, 1) * size exceeds MAX_TRIAL_SAMPLES."""
+    if max(trials, 1) * size > MAX_TRIAL_SAMPLES:
+        raise SizeLimitError(
+            "%d trials of N = %d exceed the limit of %d samples (trials * N)"
+            % (trials, size, MAX_TRIAL_SAMPLES)
+        )
 
 
 def sample(x, model):
@@ -300,6 +305,7 @@ def monte_carlo_mse(x, filt, model, sigma2, trials, seed, complex_noise=True):
         )
     if trials < 1:
         raise DimensionMismatchError("trials must be >= 1")
+    check_trial_budget(model.size, trials)
     if sigma2 < 0:
         raise DimensionMismatchError("sigma2 must be >= 0")
     y = sample(x, model)

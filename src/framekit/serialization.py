@@ -6,6 +6,13 @@ with ``data`` row-major, or as CSV whose cells are complex literals like
 rows (not their conjugates).  All numeric output is printed with %.17g,
 which round-trips IEEE doubles exactly, so identical inputs give
 byte-identical reports.
+
+A float array is emitted in one pass: its finiteness is checked once, -0.0
+is folded into 0.0 with one ``+ 0.0``, and every number fills a slot of a
+single %-template built for the array's shape.  Matrices therefore reach the
+emitter as arrays: ``dumps_report`` prints an ndarray exactly as it would
+print the same values as nested lists of floats, only without visiting
+each value in Python.
 """
 
 import csv
@@ -24,13 +31,6 @@ def format_float(x):
     return "%.17g" % x
 
 
-def format_complex(z):
-    z = complex(z)
-    im = z.imag + 0.0  # folds -0.0 so conjugated zeros print like plain ones
-    sign = "-" if im < 0 else "+"
-    return "%s%s%si" % (format_float(z.real), sign, format_float(abs(im)))
-
-
 def parse_complex(text):
     s = str(text).strip()
     if not s:
@@ -42,16 +42,19 @@ def parse_complex(text):
     return value
 
 
+def _matrix_fields(arr):
+    """{"rows", "cols", "data"} with ``data`` the (rows*cols, 2) [re, im]
+    float view of the matrix, row-major."""
+    arr = np.ascontiguousarray(np.atleast_2d(np.asarray(arr, dtype=np.complex128)))
+    rows, cols = arr.shape
+    return {"rows": int(rows), "cols": int(cols), "data": arr.view(np.float64).reshape(-1, 2)}
+
+
 def matrix_to_json(arr):
     """Matrix -> the JSON-ready {"rows", "cols", "data"} mapping."""
-    arr = np.atleast_2d(np.asarray(arr, dtype=np.complex128))
-    rows, cols = arr.shape
-    flat = arr.reshape(-1)
-    return {
-        "rows": int(rows),
-        "cols": int(cols),
-        "data": [[float(z.real) + 0.0, float(z.imag) + 0.0] for z in flat],
-    }
+    fields = _matrix_fields(arr)
+    fields["data"] = (fields["data"] + 0.0).tolist()
+    return fields
 
 
 def matrix_from_json(obj):
@@ -76,9 +79,13 @@ def matrix_from_json(obj):
         ):
             raise ParseError("matrix data entry %d is not an [re, im] pair" % i)
         out[i] = complex(pair[0], pair[1])
-    if not (np.all(np.isfinite(out.real)) and np.all(np.isfinite(out.imag))):
+    return _finite(out.reshape(rows, cols))
+
+
+def _finite(mat):
+    if not np.isfinite(mat).all():
         raise ParseError("matrix entries must be finite")
-    return out.reshape(rows, cols)
+    return mat
 
 
 def matrix_from_csv_text(text):
@@ -94,7 +101,7 @@ def matrix_from_csv_text(text):
             raise ParseError("ragged CSV: row widths differ")
     if not rows:
         raise ParseError("empty CSV matrix")
-    return np.array(rows, dtype=np.complex128)
+    return _finite(np.array(rows, dtype=np.complex128))
 
 
 def load_matrix(path):
@@ -133,9 +140,29 @@ def load_vector(path):
     return mat.reshape(-1)
 
 
+def _fill(template, values):
+    """``template % values`` over the float array, flat in C order.
+
+    Non-finite values raise as format_float does; -0.0 prints as 0.
+    """
+    if not np.isfinite(values).all():
+        raise ParseError("non-finite value in output")
+    return template % tuple((values + 0.0).ravel().tolist())
+
+
+def _array_template(shape):
+    template = "%.17g"
+    for size in reversed(shape):
+        template = "[" + ", ".join([template] * size) + "]"
+    return template
+
+
 def matrix_csv_text(arr):
-    arr = np.atleast_2d(np.asarray(arr, dtype=np.complex128))
-    return "\n".join(",".join(format_complex(z) for z in row) for row in arr)
+    """One row per line, cells ``re+im i`` or ``re-|im|i`` in %.17g."""
+    fields = _matrix_fields(arr)
+    # %+.17g prints the sign of im and then |im| exactly as %.17g does
+    line = ",".join(["%.17g%+.17gi"] * fields["cols"])
+    return _fill("\n".join([line] * fields["rows"]), fields["data"])
 
 
 def dumps_report(value):
@@ -170,6 +197,8 @@ def _emit(value, pieces):
         pieces.append(format_float(value))
     elif isinstance(value, str):
         pieces.append(json.dumps(value))
+    elif isinstance(value, np.ndarray) and value.dtype.kind == "f":
+        pieces.append(_fill(_array_template(value.shape), value))
     elif isinstance(value, np.ndarray):
         _emit(value.tolist(), pieces)
     else:

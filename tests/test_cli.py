@@ -1,11 +1,16 @@
 """End-to-end CLI checks: report contents, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from framekit import cli
+import framekit
+from framekit import cli, gabor, sampling
 from framekit.serialization import (
     dumps_report,
     matrix_csv_text,
@@ -406,3 +411,53 @@ def test_csv_format_for_matrix_reports(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "frame-dual", "--input", path, "--format", "csv")
     assert code == 0
     assert out.strip().splitlines() == ["1+0i,0+0i", "0+0i,1+0i"]
+
+
+# ----------------------------------------------------------- bad magnitudes
+
+
+def test_csv_non_finite_cell_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "f.csv"
+    path.write_text("1,nan\n0,1\n")
+    code, out, _ = run_cli(capsys, "frame-bounds", "--input", str(path))
+    assert code == 1
+    assert json.loads(out) == {"error": "parse_error", "detail": "matrix entries must be finite"}
+
+
+def test_frame_operator_overflow_reports_overflow(tmp_path, capsys):
+    path = tmp_path / "huge.csv"
+    path.write_text("1e308,0\n0,1e308\n1e308,1e308\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for verb in ("frame-bounds", "frame-dual", "frame-tighten", "frame-exactness"):
+            code, out, err = run_cli(capsys, verb, "--input", str(path))
+            assert code == 1 and err == ""
+            assert json.loads(out)["error"] == "overflow"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(framekit.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "framekit.cli", "frame-bounds", "--input", str(path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1 and proc.stderr == ""
+    assert json.loads(proc.stdout)["error"] == "overflow"
+
+
+def test_size_limits_reject_before_allocation(capsys, monkeypatch):
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("allocation attempted past the size guard")
+
+    for module, name in (
+        (gabor, "named_prototype"),
+        (gabor, "build_gabor_frame"),
+        (sampling, "ideal_lowpass"),
+        (sampling, "make_bandlimited"),
+        (sampling, "monte_carlo_mse"),
+    ):
+        monkeypatch.setattr(module, name, no_alloc)
+    for argv in (
+        ["gabor-build", "--proto", "delta", "--n", "1048576", "--shift", "1", "--mods", "1048576"],
+        ["sample-mse", "--n", "8", "--band", "1", "--period", "2", "--trials", "100000000000"],
+        ["sample-sweep", "--n", "8", "--band", "1", "--periods", "2,1", "--trials", "100000000000"],
+        ["sample-reconstruct", "--n", "33554432", "--band", "1", "--period", "2"],
+    ):
+        assert out_error(capsys, *argv) == "too_large"

@@ -1,5 +1,7 @@
 """Frame operations: worked small examples plus randomized invariants."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from framekit import (
     NotAFrameError,
     NotTightUnitError,
     NotUnitaryError,
+    NumericOverflowError,
     analyze,
     canonical_dual,
     check_biorthonormal,
@@ -523,3 +526,15 @@ def test_spectrum_matches_eigh_and_is_read_only():
         w[0] = 0.0
     with pytest.raises(ValueError):
         v[0, 0] = 0.0
+
+
+def test_frame_operator_overflow_is_typed_and_silent():
+    huge = Frame.from_vectors([[1e308, 0.0], [0.0, 1e308], [1e308, 1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericOverflowError) as info:
+            frame_operator(huge)
+        assert info.value.code == "overflow"
+        for op in (frame_bounds, canonical_dual, tighten, exactness_profile, naimark_dilate):
+            with pytest.raises(NumericOverflowError):
+                op(huge)

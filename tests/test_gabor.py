@@ -4,6 +4,8 @@ The exact composition/adjoint/commutation identities hold when the modulation
 count divides the signal length, so those tests draw configs with mods | length.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,12 +13,15 @@ from framekit import (
     DimensionMismatchError,
     Frame,
     NotAFrameError,
+    NumericOverflowError,
     ParseError,
+    SizeLimitError,
     canonical_dual,
     frame_bounds,
     frame_operator,
 )
 from framekit.gabor import (
+    MAX_GABOR_ENTRIES,
     GaborParams,
     build_gabor_frame,
     gabor_dual_prototype,
@@ -59,6 +64,19 @@ def test_params_validation():
         GaborParams(length=4, shift=2, mods=0)
     with pytest.raises(DimensionMismatchError):
         GaborParams(length=4.0, shift=2, mods=1)
+
+
+def test_params_size_limit():
+    assert MAX_GABOR_ENTRIES == 2**24
+    with pytest.raises(SizeLimitError) as info:
+        GaborParams(length=2**20, shift=1, mods=2**20)
+    assert info.value.code == "too_large"
+    # the analysis matrix (K*L x M) and the frame operator (M x M) both count
+    GaborParams(length=2**12, shift=2**12, mods=2**12)  # 2^12 x 2^12 = the limit
+    with pytest.raises(SizeLimitError):
+        GaborParams(length=2**12, shift=2**6, mods=2**12 + 1)
+    with pytest.raises(SizeLimitError):
+        GaborParams(length=2**13, shift=2**13, mods=1)  # 1 vector, 2^13 x 2^13 operator
 
 
 # ------------------------------------------------------------- weyl shifts
@@ -361,3 +379,14 @@ def test_gabor_check_solves_no_dense_operator(monkeypatch, capsys):
     # one stacked solve of the 12 Walnut blocks for the system's frame and
     # one for the frame gabor_dual_prototype builds
     assert shapes == [(12, 4, 4), (12, 4, 4)]
+
+
+def test_walnut_overflow_is_typed_and_silent():
+    params = GaborParams(length=8, shift=2, mods=4)
+    system = build_gabor_frame(np.full(8, 1e200), params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericOverflowError):
+            frame_bounds(system)
+        with pytest.raises(NumericOverflowError):
+            gabor_dual_prototype(np.full(8, 1e200), params)

@@ -9,6 +9,7 @@ from framekit import (
     ExactnessProfile,
     NotPerfectReconstructionError,
     ProtectedBinError,
+    SizeLimitError,
     analyze,
     canonical_dual,
     exactness_profile,
@@ -17,14 +18,15 @@ from framekit import (
 )
 from framekit import reconstruct as frame_reconstruct
 from framekit.sampling import (
+    MAX_TRIAL_SAMPLES,
     ReconFilter,
     SamplingModel,
     alias_bins,
     analytic_mse,
     centered_bins,
+    check_trial_budget,
     dontcare_bins,
     ideal_lowpass,
-    is_bandlimited,
     is_perfect,
     make_bandlimited,
     make_recon_filter,
@@ -36,6 +38,15 @@ from framekit.sampling import (
     sampling_frame,
     spectral_mse,
 )
+
+def is_bandlimited(x, band, tol=1e-12):
+    x = np.asarray(x, dtype=np.complex128)
+    spectrum = np.fft.fft(x)
+    nu = centered_bins(x.shape[0])
+    outside = np.abs(spectrum[np.abs(nu) > band])
+    scale = max(float(np.max(np.abs(spectrum))), 1.0)
+    return bool(outside.size == 0 or np.max(outside) <= tol * scale)
+
 
 WIDE = SamplingModel(size=64, band=4, period=4)  # L = 16, passband 9
 
@@ -375,3 +386,22 @@ def test_sampling_frame_dual_reconstructs_coefficients():
 def test_sampling_frame_rejects_sub_nyquist():
     with pytest.raises(AliasingError):
         sampling_frame(SamplingModel(size=16, band=3, period=4))  # 7 > L = 4
+
+
+def test_trial_budget_rejects_before_allocating(monkeypatch):
+    model = SamplingModel(size=8, band=1, period=2)
+    x = make_bandlimited(8, 1, seed=0)
+    filt = ideal_lowpass(model)
+
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("allocation attempted past the size guard")
+
+    monkeypatch.setattr(np, "empty", no_alloc)
+    with pytest.raises(SizeLimitError) as info:
+        monte_carlo_mse(x, filt, model, sigma2=1.0, trials=100_000_000_000, seed=0)
+    assert info.value.code == "too_large"
+    check_trial_budget(8, MAX_TRIAL_SAMPLES // 8)
+    with pytest.raises(SizeLimitError):
+        check_trial_budget(8, MAX_TRIAL_SAMPLES // 8 + 1)
+    with pytest.raises(SizeLimitError):
+        check_trial_budget(MAX_TRIAL_SAMPLES + 2, 0)  # a signal alone counts as one trial

@@ -5,8 +5,8 @@ import pytest
 
 from framekit import ParseError
 from framekit.serialization import (
+    _matrix_fields,
     dumps_report,
-    format_complex,
     format_float,
     load_matrix,
     load_vector,
@@ -16,6 +16,8 @@ from framekit.serialization import (
     matrix_to_json,
     parse_complex,
 )
+import report_oracle
+from report_oracle import format_complex
 
 
 # ---------------------------------------------------------------- literals
@@ -179,3 +181,88 @@ def test_dumps_report_rejects_unserializable():
         dumps_report({"f": object()})
     with pytest.raises(ParseError):
         dumps_report({"f": float("nan")})
+
+
+# ------------------------------------------- one-pass emission vs the oracle
+
+EDGE_VALUES = [
+    -0.0,
+    complex(0.0, -0.0),
+    complex(-0.0, -0.0),
+    5e-324,
+    -5e-324,
+    1.7976931348623157e308,
+    complex(-1.7976931348623157e308, 1.7976931348623157e308),
+    0.1,
+    2.0,
+    complex(-3.0, 1e16),
+    complex(1e-300, -2.5),
+]
+
+
+def _matrices():
+    rng = np.random.default_rng(131)
+    for shape in ((1, 1), (1, 7), (7, 1), (1024, 64)):
+        yield rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    yield rng.standard_normal((3, 5))  # real
+    yield np.array([EDGE_VALUES])
+    yield np.array(EDGE_VALUES).reshape(-1, 1)
+    for z in EDGE_VALUES:
+        yield np.array([[z]])
+    yield np.arange(12.0).reshape(3, 4) - 6.0  # integral floats
+
+
+def test_matrix_report_bytes_match_per_element_walk():
+    for a in _matrices():
+        want = report_oracle.dumps_report(report_oracle.matrix_to_json(a))
+        assert dumps_report(_matrix_fields(a)) == want
+        assert dumps_report(matrix_to_json(a)) == want
+        assert matrix_to_json(a) == report_oracle.matrix_to_json(a)
+        assert matrix_csv_text(a) == report_oracle.matrix_csv_text(a)
+
+
+def test_ndarray_leaves_match_per_element_walk():
+    rng = np.random.default_rng(137)
+    for value in (
+        np.float64(-0.0),
+        np.array(2.0),
+        np.array([]),
+        np.zeros((0, 3)),
+        np.array([-0.0, 5e-324, 0.1, 2.0, 1.7976931348623157e308]),
+        rng.standard_normal((2, 3, 4)),
+        rng.standard_normal(5).astype(np.float32),
+        np.arange(6).reshape(2, 3),  # integers are not floats: printed as ints
+        np.array([True, False]),
+        {"m": rng.standard_normal((4, 2)), "k": [np.array([0.5, -0.0]), 3]},
+    ):
+        assert dumps_report(value) == report_oracle.dumps_report(value)
+
+
+def test_non_finite_output_still_raises():
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        for z in (complex(bad, 0.0), complex(0.0, bad)):
+            a = np.array([[1.0, z], [0.5, 2.0]])
+            with pytest.raises(ParseError, match="non-finite value in output"):
+                dumps_report(_matrix_fields(a))
+            with pytest.raises(ParseError, match="non-finite value in output"):
+                dumps_report(matrix_to_json(a))
+            with pytest.raises(ParseError, match="non-finite value in output"):
+                matrix_csv_text(a)
+        with pytest.raises(ParseError, match="non-finite value in output"):
+            dumps_report({"v": np.array([0.0, bad])})
+
+
+def test_percent_signs_survive_the_template():
+    report = {"100%": _matrix_fields(np.eye(2)), "%.17g %s %%": "50% of %d", "d": np.array([0.5])}
+    out = dumps_report(report)
+    assert out == report_oracle.dumps_report({**report, "100%": report_oracle.matrix_to_json(np.eye(2))})
+    assert out.startswith('{"100%": {"rows": 2') and '"%.17g %s %%": "50% of %d"' in out
+
+
+def test_csv_non_finite_cells_are_parse_errors():
+    # like matrix_from_json: complex() accepts these, the check rejects them
+    for cell in ("nan", "1+nani", "1e400", "-1e999i"):
+        with pytest.raises(ParseError, match="matrix entries must be finite"):
+            matrix_from_csv_text("1,%s\n2,3" % cell)
+    with pytest.raises(ParseError):
+        matrix_from_csv_text("1,inf")  # "inf" is not a complex literal here
