@@ -326,10 +326,13 @@ def _cmd_sample_mse(args):
 def _cmd_sample_sweep(args):
     n, band, periods, sigma2, trials, seed, filter_spec = _sampling_setup(args, sweep=True)
     rows = []
+    signal = None
     for period in periods:
         model = sampling.SamplingModel(size=n, band=band, period=period)
         filt = _resolve_filter(filter_spec, model)
-        signal = sampling.make_bandlimited(n, band, seed)
+        if signal is None:
+            # drawn once, after the first model has reported any bad argument
+            signal = sampling.make_bandlimited(n, band, seed)
         experiment = sampling.monte_carlo_mse(signal, filt, model, sigma2, trials, seed)
         rows.append(
             {

@@ -58,7 +58,8 @@ class ConvergenceError(DomainError):
 
 
 class NumericOverflowError(DomainError):
-    """An intermediate (such as the frame operator) overflowed to inf or nan."""
+    """An intermediate (such as the frame operator) overflowed to inf or nan,
+    or underflowed below float64's normal range."""
 
     code = "overflow"
 

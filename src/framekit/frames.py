@@ -9,7 +9,8 @@ Conventions used throughout:
   operations that need a spanning set check the spectrum first.
 * The frame operator is S = T^H T; the tightest bounds are its extreme
   eigenvalues.  A set of vectors spans iff lambda_min exceeds the frame
-  threshold 1e-10 * max(lambda_max, 1).
+  threshold 1e-10 * lambda_max, which is relative, so rescaling the vectors
+  never changes the answer.
 * Each Frame decomposes S once, on first use, and every operation below reads
   that spectrum; the analysis matrix is read-only so it cannot go stale.
 """
@@ -112,10 +113,10 @@ class FrameBounds:
     upper: float
 
     def spans(self):
-        return self.lower > FRAME_RTOL * max(self.upper, 1.0)
+        return self.lower > frame_threshold(self.upper)
 
     def is_tight(self, rtol=FRAME_RTOL):
-        return (self.upper - self.lower) <= rtol * max(self.upper, 1.0)
+        return (self.upper - self.lower) <= rtol * self.upper
 
 
 @dataclass(frozen=True)
@@ -147,8 +148,9 @@ class NaimarkDilation:
 
 
 def frame_threshold(upper):
-    """Spanning threshold for the smallest frame-operator eigenvalue."""
-    return FRAME_RTOL * max(upper, 1.0)
+    """Spanning threshold for the smallest frame-operator eigenvalue,
+    relative to the largest one."""
+    return FRAME_RTOL * upper
 
 
 def analyze(frame, signal):
@@ -157,13 +159,17 @@ def analyze(frame, signal):
     return frame.analysis @ f
 
 
-def _checked_operator(s):
-    """s itself, or NumericOverflowError when forming it overflowed to inf/nan.
+def _checked_operator(s, nonzero=True, name="frame operator"):
+    """s itself, or NumericOverflowError when forming it left float64's range:
+    an entry overflowed to inf/nan, or s should be nonzero but every entry
+    fell below the smallest normal number, where few or no bits remain.
 
     Callers form s under np.errstate so an overflow prints no warning.
     """
     if not np.isfinite(s).all():
-        raise NumericOverflowError("frame operator overflows: entries too large for float64")
+        raise NumericOverflowError("%s overflows: entries too large for float64" % name)
+    if nonzero and np.abs(s).max() < np.finfo(np.float64).tiny:
+        raise NumericOverflowError("%s underflows: entries too small for float64" % name)
     return s
 
 
@@ -172,7 +178,7 @@ def frame_operator(frame):
     t = frame.analysis
     with np.errstate(over="ignore", invalid="ignore"):
         s = t.conj().T @ t
-        return _checked_operator((s + s.conj().T) / 2.0)
+        return _checked_operator((s + s.conj().T) / 2.0, t.any())
 
 
 def _with_solver(frame, solver):
@@ -207,7 +213,9 @@ def frame_bounds(frame):
 def _inverse_operator(frame, root=False):
     """S^{-1} (or S^{-1/2} with root=True) of a spanning frame."""
     w, v = _spanning_spectrum(frame)
-    return (v * (1.0 / (np.sqrt(w) if root else w))) @ v.conj().T
+    with np.errstate(over="ignore", invalid="ignore"):
+        inverse = (v * (1.0 / (np.sqrt(w) if root else w))) @ v.conj().T
+    return _checked_operator(inverse, name="inverse frame operator")
 
 
 def canonical_dual(frame):

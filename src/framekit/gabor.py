@@ -19,8 +19,13 @@ B_r[j, j'] = S[r + jK, r + j'K] (Strohmer, "Numerical algorithms for discrete
 Gabor expansions", 1998).  Frames built here with K | M decompose S through
 those blocks in one stacked Jacobi solve instead of solving the dense M x M
 operator; K that do not divide M keep the dense solve.
+
+A built system is shared: while a caller holds the frame of a prototype and
+params, build_gabor_frame (and so gabor_dual_prototype) returns that frame and
+reads its spectrum instead of building and solving again.
 """
 
+import weakref
 from dataclasses import dataclass
 from functools import partial
 
@@ -34,6 +39,11 @@ PROTOTYPE_NAMES = ("delta", "gaussian", "boxcar")
 # Largest of the system's K*L x M analysis matrix and its M x M frame
 # operator, in entries: 2^24 complex entries are 256 MiB.
 MAX_GABOR_ENTRIES = 2**24
+
+# (prototype bytes, params) -> the live frame built from them.  A frame is
+# safe to share because its analysis matrix is read-only and its spectrum is
+# computed at most once; an entry lives only while some caller holds it.
+_live_systems = weakref.WeakValueDictionary()
 
 
 @dataclass(frozen=True)
@@ -120,7 +130,7 @@ def _walnut_spectrum(g, params):
     n = np.arange(k)[:, None, None] + k * np.arange(size)[None, :, None]
     cols = g[(n - params.shift * np.arange(params.steps)[None, None, :]) % m]
     with np.errstate(over="ignore", invalid="ignore"):
-        blocks = _checked_operator(k * (cols @ np.conj(np.swapaxes(cols, -1, -2))))
+        blocks = _checked_operator(k * (cols @ np.conj(np.swapaxes(cols, -1, -2))), g.any())
     w, u = jacobi_eigh(blocks)
     # v[j*K + r, r*size + i] = u[r, j, i]
     v = np.zeros((size, k, k, size), dtype=np.complex128)
@@ -133,9 +143,19 @@ def _walnut_spectrum(g, params):
 def build_gabor_frame(proto, params):
     """Frame of all K*L translates-modulates of the prototype, k outer.
 
-    With K | M the frame's spectrum comes from its Walnut blocks.
+    With K | M the frame's spectrum comes from its Walnut blocks.  While a
+    frame built from the bit-identical prototype and equal params is alive,
+    that same frame is returned.
     """
     g = np.array(_proto_vector(proto, params))
+    key = (g.tobytes(), params)
+    frame = _live_systems.get(key)
+    if frame is None:
+        frame = _live_systems[key] = _build(g, params)
+    return frame
+
+
+def _build(g, params):
     frame = Frame(np.conj(_system_vectors(g, params)))
     if params.length % params.mods == 0:
         _with_solver(frame, partial(_walnut_spectrum, g, params))
@@ -147,6 +167,8 @@ def gabor_dual_prototype(proto, params):
 
     When K | M the frame operator commutes with every system shift, so the
     canonical dual frame is the Weyl-Heisenberg system of this vector.
+    The spectrum of a live system built from the same prototype and params
+    is reused.
     """
     g = _proto_vector(proto, params)
     return _inverse_operator(build_gabor_frame(g, params)) @ g

@@ -8,12 +8,19 @@ pairs every index with one other, so the n/2 rotations of a step touch
 disjoint rows and columns and are applied together.  The solver takes a stack
 of matrices as readily as one; sweeps repeat until the off-diagonal Frobenius
 mass of every member drops below OFF_TOLERANCE times that member's Frobenius
-norm.  Quadratic convergence makes the sweep limit generous.
+norm.  Quadratic convergence makes the sweep limit generous.  Each member is
+solved at a power-of-two scale with its largest entry in [0.5, 1), which is
+exact, so results do not depend on the input's magnitude.
 """
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionMismatchError, NotHermitianError
+from .errors import (
+    ConvergenceError,
+    DimensionMismatchError,
+    NotHermitianError,
+    NumericOverflowError,
+)
 
 OFF_TOLERANCE = 1e-13
 SWEEP_LIMIT = 100
@@ -96,6 +103,13 @@ def jacobi_eigh(mat, tol=OFF_TOLERANCE, max_sweeps=SWEEP_LIMIT):
     n = shape[-1]
     # exact symmetrization so rotations preserve Hermitian structure to the bit
     a = ((a + _conj_t(a)) / 2.0).reshape(-1, n, n)
+    # scale each member by a power of two so its largest entry lies in
+    # [0.5, 1): exact, and the Frobenius norms below neither overflow nor
+    # underflow; eigenvalues are scaled back at the end
+    largest = np.maximum(np.abs(a.real).max(axis=(-2, -1)), np.abs(a.imag).max(axis=(-2, -1)))
+    exponent = np.frexp(largest)[1]
+    np.ldexp(a.real, -exponent[:, None, None], out=a.real)
+    np.ldexp(a.imag, -exponent[:, None, None], out=a.imag)
     target = tol * np.linalg.norm(a, axis=(-2, -1))
     # contributions below skip_level per element cannot push a member's mass
     # over its target even if all n^2 entries sit at that level
@@ -116,7 +130,7 @@ def jacobi_eigh(mat, tol=OFF_TOLERANCE, max_sweeps=SWEEP_LIMIT):
             worst = int(np.argmax(mass - target))
             raise ConvergenceError(
                 "Jacobi sweeps exhausted (%d) with off-diagonal mass %.3e > %.3e"
-                % (max_sweeps, mass[worst], target[worst])
+                % (max_sweeps, *np.ldexp([mass[worst], target[worst]], exponent[worst]))
             )
         for p, q in schedule:
             apq = a[:, p, q]
@@ -143,7 +157,10 @@ def jacobi_eigh(mat, tol=OFF_TOLERANCE, max_sweeps=SWEEP_LIMIT):
             a[:, diag, diag] = a[:, diag, diag].real
         sweeps += 1
 
-    w = np.diagonal(a, axis1=-2, axis2=-1).real
+    with np.errstate(over="ignore"):
+        w = np.ldexp(np.diagonal(a, axis1=-2, axis2=-1).real, exponent[:, None])
+    if not np.isfinite(w).all():
+        raise NumericOverflowError("eigenvalues overflow: too large for float64")
     order = np.argsort(w, axis=-1, kind="stable")
     w = np.take_along_axis(w, order, axis=-1)
     v = np.take_along_axis(av[:, n:], order[:, None, :], axis=-1)

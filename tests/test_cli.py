@@ -361,6 +361,24 @@ def test_sample_sweep_csv(capsys):
     assert factors == pytest.approx([16.0 / 9.0, 32.0 / 9.0, 64.0 / 9.0])
 
 
+def test_sample_sweep_draws_the_signal_once(capsys, monkeypatch):
+    draws = []
+    real = sampling.make_bandlimited
+
+    def counting(*args):
+        draws.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sampling, "make_bandlimited", counting)
+    argv = ("sample-sweep", "--n", "64", "--band", "4", "--periods", "4,2,1", "--trials", "40")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and draws == [(64, 4, 0)]
+    # a bad first period is still reported before a bad band
+    code, out, _ = run_cli(capsys, "sample-sweep", "--n", "8", "--band", "10", "--periods", "3")
+    assert code == 1 and json.loads(out)["detail"] == "period 3 must divide size 8"
+    assert draws == [(64, 4, 0)]
+
+
 def test_sample_sweep_json(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 32, "band": 1, "periods": [2, 1], "trials": 30}))
@@ -440,6 +458,20 @@ def test_frame_operator_overflow_reports_overflow(tmp_path, capsys):
     )
     assert proc.returncode == 1 and proc.stderr == ""
     assert json.loads(proc.stdout)["error"] == "overflow"
+
+
+def test_frame_operator_underflow_reports_overflow(tmp_path, capsys):
+    path = tmp_path / "tiny.csv"
+    path.write_text("1e-160,0\n0,1e-160\n1e-160,1e-160\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for verb in ("frame-bounds", "frame-dual", "frame-tighten", "frame-exactness"):
+            code, out, err = run_cli(capsys, verb, "--input", str(path))
+            assert code == 1 and err == ""
+            assert json.loads(out) == {
+                "error": "overflow",
+                "detail": "frame operator underflows: entries too small for float64",
+            }
 
 
 def test_size_limits_reject_before_allocation(capsys, monkeypatch):

@@ -9,6 +9,7 @@ from framekit import (
     DimensionMismatchError,
     ExactnessProfile,
     Frame,
+    FrameBounds,
     NotAFrameError,
     NotTightUnitError,
     NotUnitaryError,
@@ -19,6 +20,7 @@ from framekit import (
     exactness_profile,
     frame_bounds,
     frame_operator,
+    frame_threshold,
     harmonic_frame,
     is_left_inverse,
     jacobi_eigh,
@@ -31,6 +33,8 @@ from framekit import (
     tighten,
     unitary_transform,
 )
+from framekit.frames import FRAME_RTOL
+
 from conftest import random_frame, random_unitary, random_vector
 
 RT3 = np.sqrt(3.0)
@@ -538,3 +542,55 @@ def test_frame_operator_overflow_is_typed_and_silent():
         for op in (frame_bounds, canonical_dual, tighten, exactness_profile, naimark_dilate):
             with pytest.raises(NumericOverflowError):
                 op(huge)
+
+
+def test_bounds_of_huge_frames_are_not_truncated():
+    # entries of S near 1e156: ||S||_F^2 overflows, yet the solver must rotate
+    rng = np.random.default_rng(67)
+    t = rng.standard_normal((5, 3))
+    want = np.linalg.eigvalsh(t.T @ t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1e76, 1e78, 1e150):
+            b = frame_bounds(Frame(t * scale))
+            assert b.lower == pytest.approx(want[0] * scale**2, rel=1e-12)
+            assert b.upper == pytest.approx(want[-1] * scale**2, rel=1e-12)
+
+
+def test_spanning_threshold_is_relative():
+    assert frame_threshold(3.0e-12) == FRAME_RTOL * 3.0e-12
+    small = Frame(1e-6 * np.eye(3))
+    b = frame_bounds(small)
+    assert b.spans() and b.is_tight()
+    assert np.allclose(canonical_dual(small).analysis, 1e6 * np.eye(3), rtol=1e-14, atol=0)
+    t = redundant_basis().analysis
+    tiny = Frame(t * 2.0**-500)
+    assert frame_bounds(tiny).spans() and not frame_bounds(tiny).is_tight()
+    want = canonical_dual(redundant_basis()).analysis
+    assert np.allclose(canonical_dual(tiny).analysis * 2.0**-500, want, rtol=1e-13, atol=0)
+    # rank one: lambda_max tiny, lambda_min zero; neither spanning nor tight
+    b = frame_bounds(Frame.from_vectors([[1e-6, 0.0], [2e-6, 0.0]]))
+    assert not b.spans() and not b.is_tight()
+    assert FrameBounds(0.0, 0.0).is_tight() and not FrameBounds(0.0, 0.0).spans()
+
+
+def test_frame_operator_underflow_is_typed_and_silent():
+    tiny = Frame.from_vectors([[1e-160, 0.0], [0.0, 1e-160], [1e-160, 1e-160]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for op in (frame_operator, frame_bounds, canonical_dual, tighten, exactness_profile, naimark_dilate):
+            with pytest.raises(NumericOverflowError, match="underflows"):
+                op(tiny)
+    # all-zero vectors are legal data that do not span, not an underflow
+    with pytest.raises(NotAFrameError):
+        canonical_dual(Frame(np.zeros((3, 2))))
+
+
+def test_inverse_operator_overflow_is_typed():
+    # S spans (lambda 1e-300 and 1e-309), but 1 / 1e-309 is not a float64
+    frame = Frame(np.diag([1e-150, np.sqrt(1e-309)]))
+    assert frame_bounds(frame).spans()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericOverflowError, match="inverse frame operator overflows"):
+            canonical_dual(frame)

@@ -376,9 +376,62 @@ def test_gabor_check_solves_no_dense_operator(monkeypatch, capsys):
     argv = ["gabor-check", "--proto", "gaussian", "--n", "48", "--shift", "4", "--mods", "12"]
     assert cli.run(argv) == 0
     assert '"wh_structure": true' in capsys.readouterr().out
-    # one stacked solve of the 12 Walnut blocks for the system's frame and
-    # one for the frame gabor_dual_prototype builds
-    assert shapes == [(12, 4, 4), (12, 4, 4)]
+    # one stacked solve of the 12 Walnut blocks; gabor_dual_prototype reads
+    # the spectrum of the live system
+    assert shapes == [(12, 4, 4)]
+
+
+def test_dual_prototype_reuses_the_live_system(monkeypatch):
+    rng = np.random.default_rng(127)
+    p = GaborParams(length=48, shift=4, mods=12)
+    g = random_proto(rng, 48)
+    system = build_gabor_frame(g, p)
+    frame_bounds(system)
+    shapes = record_solves(monkeypatch)
+    gd = gabor_dual_prototype(g, p)
+    assert shapes == []
+    assert build_gabor_frame(g.copy(), p) is system
+    assert np.allclose(gd, np.linalg.solve(frame_operator(Frame(system.analysis)), g), atol=1e-12)
+
+
+def test_distinct_prototypes_and_params_get_distinct_frames():
+    rng = np.random.default_rng(131)
+    p = GaborParams(length=8, shift=2, mods=4)
+    g = random_proto(rng, 8)
+    g[3] = 0.0
+    system = build_gabor_frame(g, p)
+    one_bit = g.copy()
+    one_bit.real[0] = np.nextafter(one_bit.real[0], np.inf)
+    negative_zero = g.copy()
+    negative_zero.real[3] = -0.0
+    others = [
+        build_gabor_frame(one_bit, p),
+        build_gabor_frame(negative_zero, p),
+        build_gabor_frame(g, GaborParams(length=8, shift=2, mods=2)),
+        build_gabor_frame(g, GaborParams(length=8, shift=4, mods=4)),
+    ]
+    assert len({id(f) for f in [system] + others}) == 5
+    assert np.array_equal(others[1].analysis, system.analysis)  # -0.0 == 0.0
+
+
+def test_dropped_systems_are_not_retained(monkeypatch):
+    import gc
+
+    import framekit.gabor
+
+    rng = np.random.default_rng(137)
+    p = GaborParams(length=12, shift=4, mods=6)
+    g = random_proto(rng, 12)
+    gc.collect()
+    system = build_gabor_frame(g, p)
+    assert [id(f) for f in framekit.gabor._live_systems.values()] == [id(system)]
+    frame_bounds(system)
+    del system
+    gc.collect()
+    assert len(framekit.gabor._live_systems) == 0
+    shapes = record_solves(monkeypatch)
+    frame_bounds(build_gabor_frame(g, p))
+    assert shapes == [(6, 2, 2)]
 
 
 def test_walnut_overflow_is_typed_and_silent():
@@ -388,5 +441,6 @@ def test_walnut_overflow_is_typed_and_silent():
         warnings.simplefilter("error")
         with pytest.raises(NumericOverflowError):
             frame_bounds(system)
+        # the live system is shared: its failed solve is retried, not cached
         with pytest.raises(NumericOverflowError):
             gabor_dual_prototype(np.full(8, 1e200), params)

@@ -1,5 +1,7 @@
 """Tests for the round-robin Jacobi eigensolver, checked against numpy.linalg.eigh."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from framekit import (
     ConvergenceError,
     DimensionMismatchError,
     NotHermitianError,
+    NumericOverflowError,
     is_hermitian,
     jacobi_eigh,
 )
@@ -225,3 +228,33 @@ def test_converged_members_are_not_rotated_further():
     rng = np.random.default_rng(59)
     w, v = jacobi_eigh(np.stack([done, random_hermitian(rng, 4)]))
     assert np.array_equal(w[0], [1.0, 2.0, 3.0, 4.0]) and np.array_equal(v[0], np.eye(4))
+
+
+def test_power_of_two_scaling_is_exact_at_any_magnitude():
+    # each member is solved with its largest entry in [0.5, 1), so a member
+    # scaled by 2^k gives eigenvalues scaled by 2^k and the same eigenvectors,
+    # bit for bit, even where ||a||_F^2 would overflow or underflow
+    rng = np.random.default_rng(61)
+    a = random_hermitian(rng, 5)
+    w0, v0 = jacobi_eigh(a)
+    for k in (-1000, -600, -100, 100, 600, 1000):
+        w, v = jacobi_eigh(a * 2.0**k)
+        assert np.array_equal(w, w0 * 2.0**k) and np.array_equal(v, v0)
+    stack = np.stack([a * 2.0**-1000, a, a * 2.0**1000])
+    w, v = jacobi_eigh(stack)
+    assert np.array_equal(w, w0 * np.array([2.0**-1000, 1.0, 2.0**1000])[:, None])
+    assert all(np.array_equal(member, v0) for member in v)
+
+
+def test_subnormal_and_zero_members():
+    w, v = jacobi_eigh(np.stack([np.zeros((2, 2)), np.diag([5e-324, 1e-323])]))
+    assert np.array_equal(w, [[0.0, 0.0], [5e-324, 1e-323]])
+    assert np.array_equal(v, np.stack([np.eye(2), np.eye(2)]))
+
+
+def test_eigenvalue_overflow_is_typed_and_silent():
+    # every entry is finite, the largest eigenvalue 2.4e308 is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericOverflowError):
+            jacobi_eigh(np.full((3, 3), 8e307))
