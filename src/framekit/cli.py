@@ -7,7 +7,6 @@ so callers can parse failures.
 """
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -15,9 +14,9 @@ import numpy as np
 from . import frames, gabor, sampling
 from .errors import DomainError, ParseError
 from .serialization import (
+    _fill,
     _matrix_fields,
     dumps_report,
-    format_float,
     load_json,
     load_matrix,
     load_vector,
@@ -104,17 +103,10 @@ def _load_frame(path):
     return frames.Frame.from_vectors(load_matrix(path))
 
 
-def _frame_text(frame, fmt):
+def _matrix_text(arr, fmt):
     if fmt == "csv":
-        return matrix_csv_text(frame.vectors)
-    return dumps_report(_matrix_fields(frame.vectors))
-
-
-def _vector_text(vec, fmt):
-    column = np.asarray(vec).reshape(-1, 1)
-    if fmt == "csv":
-        return matrix_csv_text(column)
-    return dumps_report(_matrix_fields(column))
+        return matrix_csv_text(arr)
+    return dumps_report(_matrix_fields(arr))
 
 
 def _bounds_report(frame):
@@ -132,7 +124,7 @@ def _bounds_report(frame):
 def _cmd_frame_analyze(args):
     frame = _load_frame(args.input)
     signal = load_vector(args.signal)
-    return _vector_text(frames.analyze(frame, signal), args.format)
+    return _matrix_text(frames.analyze(frame, signal).reshape(-1, 1), args.format)
 
 
 def _cmd_frame_bounds(args):
@@ -142,14 +134,14 @@ def _cmd_frame_bounds(args):
 def _cmd_frame_dual(args):
     frame = _load_frame(args.input)
     if args.param is None:
-        return _frame_text(frames.canonical_dual(frame), args.format)
+        return _matrix_text(frames.canonical_dual(frame).vectors, args.format)
     left = frames.left_inverse(frame, load_matrix(args.param))
     # columns of the left inverse are the alternative dual vectors
-    return _frame_text(frames.Frame(left.matrix.conj().T), args.format)
+    return _matrix_text(left.matrix.T, args.format)
 
 
 def _cmd_frame_tighten(args):
-    return _frame_text(frames.tighten(_load_frame(args.input)), args.format)
+    return _matrix_text(frames.tighten(_load_frame(args.input)).vectors, args.format)
 
 
 def _cmd_frame_naimark(args):
@@ -183,12 +175,12 @@ def _gabor_setup(args):
 
 def _cmd_gabor_build(args):
     proto, params = _gabor_setup(args)
-    return _frame_text(gabor.build_gabor_frame(proto, params), args.format)
+    return _matrix_text(gabor.build_gabor_frame(proto, params).vectors, args.format)
 
 
 def _cmd_gabor_dual(args):
     proto, params = _gabor_setup(args)
-    return _vector_text(gabor.gabor_dual_prototype(proto, params), args.format)
+    return _matrix_text(gabor.gabor_dual_prototype(proto, params).reshape(-1, 1), args.format)
 
 
 def _cmd_gabor_check(args):
@@ -214,7 +206,9 @@ def _as_strict_int(value):
     return int(value)
 
 
-def _config_value(args, cfg, key, kind, default=None, required=False):
+def _config_value(args, cfg, key, kind, default=None):
+    """The flag's value, else the config file's, else default; a usage error
+    when there is none of the three."""
     value = getattr(args, key, None)
     if value is not None:
         return value  # argparse already typed flag values
@@ -223,48 +217,52 @@ def _config_value(args, cfg, key, kind, default=None, required=False):
             return kind(cfg[key])
         except (TypeError, ValueError):
             raise ParseError("bad config value for %r: %r" % (key, cfg[key])) from None
-    if default is not None:
-        return default
-    if required:
+    if default is None:
         raise _UsageError("missing %r (give the flag or put it in the config file)" % key)
-    return None
+    return default
 
 
-def _sampling_setup(args, sweep=False):
+def _sampling_setup(args):
+    """The sampling request with every value resolved, its ``periods``
+    [period] unless the verb is sample-sweep.  The trial budget is checked
+    before anything is built."""
     cfg = {}
     if args.input:
         cfg = load_json(args.input)
         if not isinstance(cfg, dict):
             raise ParseError("config JSON must be an object")
-    n = _config_value(args, cfg, "n", _as_strict_int, required=True)
-    band = _config_value(args, cfg, "band", _as_strict_int, required=True)
-    sigma2 = _config_value(args, cfg, "sigma2", float, SAMPLE_DEFAULTS["sigma2"])
-    trials = _config_value(args, cfg, "trials", _as_strict_int, SAMPLE_DEFAULTS["trials"])
-    seed = _config_value(args, cfg, "seed", _as_strict_int, SAMPLE_DEFAULTS["seed"])
-    filter_spec = _config_value(args, cfg, "filter", str, SAMPLE_DEFAULTS["filter"])
-    # before any array is built; sample-reconstruct draws a single signal
-    sampling.check_trial_budget(n, 1 if args.verb == "sample-reconstruct" else trials)
-    if sweep:
-        if args.periods is not None:
-            try:
-                periods = [int(tok) for tok in args.periods.split(",") if tok.strip()]
-            except ValueError:
-                raise _UsageError("bad --periods %r" % args.periods) from None
-            if not periods:
-                raise _UsageError("empty --periods")
-        elif "periods" in cfg:
-            raw = cfg["periods"]
-            if not isinstance(raw, list) or not raw:
-                raise ParseError("config 'periods' must be a nonempty list")
-            try:
-                periods = [_as_strict_int(tok) for tok in raw]
-            except (TypeError, ValueError):
-                raise ParseError("bad config periods %r" % (raw,)) from None
-        else:
-            raise _UsageError("missing 'periods' (give --periods or put it in the config file)")
-        return n, band, periods, sigma2, trials, seed, filter_spec
-    period = _config_value(args, cfg, "period", _as_strict_int, required=True)
-    return n, band, period, sigma2, trials, seed, filter_spec
+    req = argparse.Namespace(
+        n=_config_value(args, cfg, "n", _as_strict_int),
+        band=_config_value(args, cfg, "band", _as_strict_int),
+        sigma2=_config_value(args, cfg, "sigma2", float, SAMPLE_DEFAULTS["sigma2"]),
+        trials=_config_value(args, cfg, "trials", _as_strict_int, SAMPLE_DEFAULTS["trials"]),
+        seed=_config_value(args, cfg, "seed", _as_strict_int, SAMPLE_DEFAULTS["seed"]),
+        filter=_config_value(args, cfg, "filter", str, SAMPLE_DEFAULTS["filter"]),
+    )
+    # sample-reconstruct draws a single signal and no trials
+    sampling.check_trial_budget(req.n, 1 if args.verb == "sample-reconstruct" else req.trials)
+    if args.verb != "sample-sweep":
+        req.periods = [_config_value(args, cfg, "period", _as_strict_int)]
+        return req
+    if args.periods is not None:
+        try:
+            periods = [int(tok) for tok in args.periods.split(",") if tok.strip()]
+        except ValueError:
+            raise _UsageError("bad --periods %r" % args.periods) from None
+        if not periods:
+            raise _UsageError("empty --periods")
+    elif "periods" in cfg:
+        raw = cfg["periods"]
+        if not isinstance(raw, list) or not raw:
+            raise ParseError("config 'periods' must be a nonempty list")
+        try:
+            periods = [_as_strict_int(tok) for tok in raw]
+        except (TypeError, ValueError):
+            raise ParseError("bad config periods %r" % (raw,)) from None
+    else:
+        raise _UsageError("missing 'periods' (give --periods or put it in the config file)")
+    req.periods = periods
+    return req
 
 
 def _resolve_filter(spec, model):
@@ -278,19 +276,30 @@ def _resolve_filter(spec, model):
     return sampling.ReconFilter.from_impulse(impulse)
 
 
+def _sampling_runs(req):
+    """(model, filter, signal) per period.  The signal does not depend on the
+    period: it is drawn once, after the first model has reported any bad
+    argument."""
+    signal = None
+    for period in req.periods:
+        model = sampling.SamplingModel(size=req.n, band=req.band, period=period)
+        filt = _resolve_filter(req.filter, model)
+        if signal is None:
+            signal = sampling.make_bandlimited(req.n, req.band, req.seed)
+        yield model, filt, signal
+
+
 def _cmd_sample_reconstruct(args):
-    n, band, period, _sigma2, _trials, seed, filter_spec = _sampling_setup(args)
-    model = sampling.SamplingModel(size=n, band=band, period=period)
-    filt = _resolve_filter(filter_spec, model)
-    signal = sampling.make_bandlimited(n, band, seed)
+    req = _sampling_setup(args)
+    [(model, filt, signal)] = _sampling_runs(req)
     recon = sampling.reconstruct(sampling.sample(signal, model), filt, model)
     return dumps_report(
         {
-            "n": n,
-            "band": band,
-            "period": period,
-            "seed": seed,
-            "filter": filter_spec,
+            "n": req.n,
+            "band": req.band,
+            "period": model.period,
+            "seed": req.seed,
+            "filter": req.filter,
             "pr": sampling.is_perfect(filt, model),
             "max_abs_error": float(np.max(np.abs(signal - recon))),
         }
@@ -298,42 +307,34 @@ def _cmd_sample_reconstruct(args):
 
 
 def _cmd_sample_mse(args):
-    n, band, period, sigma2, trials, seed, filter_spec = _sampling_setup(args)
-    model = sampling.SamplingModel(size=n, band=band, period=period)
-    filt = _resolve_filter(filter_spec, model)
-    signal = sampling.make_bandlimited(n, band, seed)
-    experiment = sampling.monte_carlo_mse(signal, filt, model, sigma2, trials, seed)
+    req = _sampling_setup(args)
+    [(model, filt, signal)] = _sampling_runs(req)
+    experiment = sampling.monte_carlo_mse(signal, filt, model, req.sigma2, req.trials, req.seed)
     report = {
-        "n": n,
-        "band": band,
-        "period": period,
+        "n": req.n,
+        "band": req.band,
+        "period": model.period,
         "oversampling_factor": model.oversampling,
-        "sigma2": sigma2,
-        "trials": trials,
-        "seed": seed,
-        "filter": filter_spec,
+        "sigma2": req.sigma2,
+        "trials": req.trials,
+        "seed": req.seed,
+        "filter": req.filter,
         "analytic_mse": experiment.analytic,
         "mc_mse": experiment.estimate,
         "stderr": experiment.stderr,
     }
     if sampling.is_perfect(filt, model):
-        inband, outband = sampling.mse_decomposition(filt, model, sigma2)
+        inband, outband = sampling.mse_decomposition(filt, model, req.sigma2)
         report["inband_mse"] = inband
         report["outband_mse"] = outband
     return dumps_report(report)
 
 
 def _cmd_sample_sweep(args):
-    n, band, periods, sigma2, trials, seed, filter_spec = _sampling_setup(args, sweep=True)
+    req = _sampling_setup(args)
     rows = []
-    signal = None
-    for period in periods:
-        model = sampling.SamplingModel(size=n, band=band, period=period)
-        filt = _resolve_filter(filter_spec, model)
-        if signal is None:
-            # drawn once, after the first model has reported any bad argument
-            signal = sampling.make_bandlimited(n, band, seed)
-        experiment = sampling.monte_carlo_mse(signal, filt, model, sigma2, trials, seed)
+    for model, filt, signal in _sampling_runs(req):
+        experiment = sampling.monte_carlo_mse(signal, filt, model, req.sigma2, req.trials, req.seed)
         rows.append(
             {
                 "oversampling_factor": model.oversampling,
@@ -344,15 +345,9 @@ def _cmd_sample_sweep(args):
         )
     if args.format == "json":
         return dumps_report(rows)
-    lines = [SWEEP_HEADER]
-    for row in rows:
-        lines.append(
-            ",".join(
-                format_float(row[key])
-                for key in ("oversampling_factor", "analytic_mse", "mc_mse", "stderr")
-            )
-        )
-    return "\n".join(lines)
+    table = np.array([list(row.values()) for row in rows])
+    line = ",".join(["%.17g"] * table.shape[1])
+    return SWEEP_HEADER + "\n" + _fill("\n".join([line] * len(rows)), table)
 
 
 _HANDLERS = {
@@ -393,9 +388,6 @@ def run(argv=None):
         return 1
     except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(dumps_report({"error": "file_not_found", "detail": str(exc)}))
-        return 1
-    except json.JSONDecodeError as exc:
-        print(dumps_report({"error": "parse_error", "detail": str(exc)}))
         return 1
     return 0
 

@@ -32,26 +32,36 @@ FRAME_RTOL = 1e-10
 GS_DROP_TOL = 1e-8
 
 
-def _as_complex_matrix(obj, name="matrix"):
+def _as_complex_matrix(obj, name="matrix", shape=None):
     arr = np.array(obj, dtype=np.complex128)
     if arr.ndim != 2:
         raise DimensionMismatchError("%s must be 2-D, got %d-D" % (name, arr.ndim))
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise DimensionMismatchError("%s must be nonempty, got shape %r" % (name, arr.shape))
-    if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
+    if not np.isfinite(arr).all():
         raise DimensionMismatchError("%s entries must be finite" % name)
+    if shape is not None and arr.shape != shape:
+        raise DimensionMismatchError("%s shape %r, expected %r" % (name, arr.shape, shape))
     return arr
 
 
 def _as_complex_vector(obj, length, name="vector"):
+    """obj flattened to complex128: a view of obj where numpy allows."""
     arr = np.asarray(obj, dtype=np.complex128).reshape(-1)
     if arr.shape[0] != length:
         raise DimensionMismatchError(
             "%s has length %d, expected %d" % (name, arr.shape[0], length)
         )
-    if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
+    if not np.isfinite(arr).all():
         raise DimensionMismatchError("%s entries must be finite" % name)
     return arr
+
+
+def _check_frame_shape(frame, shape, name):
+    if (frame.num_vectors, frame.dim) != shape:
+        raise DimensionMismatchError(
+            "%s shape %r, expected %r" % (name, (frame.num_vectors, frame.dim), shape)
+        )
 
 
 @dataclass(frozen=True)
@@ -115,8 +125,8 @@ class FrameBounds:
     def spans(self):
         return self.lower > frame_threshold(self.upper)
 
-    def is_tight(self, rtol=FRAME_RTOL):
-        return (self.upper - self.lower) <= rtol * self.upper
+    def is_tight(self):
+        return (self.upper - self.lower) <= FRAME_RTOL * self.upper
 
 
 @dataclass(frozen=True)
@@ -133,7 +143,6 @@ class ExactnessProfile:
 
     EXACT = "exact"
     INEXACT = "inexact"
-    NOT_A_FRAME = "not_a_frame"
 
     diagonal: np.ndarray
     classification: str
@@ -241,22 +250,16 @@ def left_inverse(frame, free_param=None):
     if free_param is None:
         m = np.zeros((frame.dim, k), dtype=np.complex128)
     else:
-        m = _as_complex_matrix(free_param, "free_param")
-        if m.shape != (frame.dim, k):
-            raise DimensionMismatchError(
-                "free_param shape %r, expected %r" % (m.shape, (frame.dim, k))
-            )
+        m = _as_complex_matrix(free_param, "free_param", (frame.dim, k))
     residual = np.eye(k, dtype=np.complex128) - frame.analysis @ pinv
-    return LeftInverse(matrix=pinv + m @ residual, free_param=m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrix = _checked_operator(pinv + m @ residual, nonzero=False, name="left inverse")
+    return LeftInverse(matrix=matrix, free_param=m)
 
 
 def is_left_inverse(frame, matrix, tol=FRAME_RTOL):
     """Check L T = I_N within tol (max entry deviation)."""
-    l = _as_complex_matrix(matrix, "matrix")
-    if l.shape != (frame.dim, frame.num_vectors):
-        raise DimensionMismatchError(
-            "left inverse shape %r, expected %r" % (l.shape, (frame.dim, frame.num_vectors))
-        )
+    l = _as_complex_matrix(matrix, "matrix", (frame.dim, frame.num_vectors))
     return bool(np.max(np.abs(l @ frame.analysis - np.eye(frame.dim))) <= tol)
 
 
@@ -268,11 +271,7 @@ def range_projection(frame):
 
 def reconstruct(frame, dual, coeffs):
     """sum_k c_k dual_k, the expansion of the analyzed signal in the dual."""
-    if (dual.num_vectors, dual.dim) != (frame.num_vectors, frame.dim):
-        raise DimensionMismatchError(
-            "dual shape %r does not match frame shape %r"
-            % ((dual.num_vectors, dual.dim), (frame.num_vectors, frame.dim))
-        )
+    _check_frame_shape(dual, (frame.num_vectors, frame.dim), "dual")
     c = _as_complex_vector(coeffs, frame.num_vectors, "coeffs")
     return dual.synthesis @ c
 
@@ -282,27 +281,25 @@ def tighten(frame):
     return Frame(frame.analysis @ _inverse_operator(frame, root=True))
 
 
-def exactness_profile(frame, tol=FRAME_RTOL):
+def exactness_profile(frame):
     """Diagonal <dual_m, g_m> and the exact/inexact classification.
 
     A frame is exact (a Riesz basis: no vector can be removed) iff every
-    diagonal entry equals 1; the diagonal is real because it is a Hermitian
-    quadratic form.
+    diagonal entry equals 1 within FRAME_RTOL; the diagonal is real because
+    it is a Hermitian quadratic form.
     """
     diag = np.real(np.diag(range_projection(frame))).copy()
-    label = ExactnessProfile.EXACT if np.max(np.abs(diag - 1.0)) <= tol else ExactnessProfile.INEXACT
+    exact = np.max(np.abs(diag - 1.0)) <= FRAME_RTOL
+    label = ExactnessProfile.EXACT if exact else ExactnessProfile.INEXACT
     return ExactnessProfile(diagonal=diag, classification=label)
 
 
-def check_biorthonormal(frame, dual, tol=FRAME_RTOL):
-    """Whether <g_j, dual_k> = delta_jk; returns (flag, K x K cross-Gram)."""
-    if (dual.num_vectors, dual.dim) != (frame.num_vectors, frame.dim):
-        raise DimensionMismatchError(
-            "dual shape %r does not match frame shape %r"
-            % ((dual.num_vectors, dual.dim), (frame.num_vectors, frame.dim))
-        )
+def check_biorthonormal(frame, dual):
+    """Whether <g_j, dual_k> = delta_jk within FRAME_RTOL; returns (flag,
+    K x K cross-Gram)."""
+    _check_frame_shape(dual, (frame.num_vectors, frame.dim), "dual")
     gram = (dual.analysis @ frame.synthesis).T
-    ok = bool(np.max(np.abs(gram - np.eye(frame.num_vectors))) <= tol)
+    ok = bool(np.max(np.abs(gram - np.eye(frame.num_vectors))) <= FRAME_RTOL)
     return ok, gram
 
 
@@ -330,7 +327,7 @@ def remove_vector(frame, index):
     return Frame(np.delete(frame.analysis, index, axis=0))
 
 
-def naimark_dilate(frame, tol=FRAME_RTOL):
+def naimark_dilate(frame):
     """Extend a tight frame with bound 1 to an orthonormal basis of C^K.
 
     The analysis matrix T then has orthonormal columns; Gram-Schmidt against
@@ -346,7 +343,7 @@ def naimark_dilate(frame, tol=FRAME_RTOL):
         )
     s = frame_operator(frame)
     defect = float(np.max(np.abs(s - np.eye(n))))
-    if defect > tol:
+    if defect > FRAME_RTOL:
         raise NotTightUnitError(
             "frame operator differs from identity by %.3e (needs tight bound 1)" % defect
         )
@@ -371,13 +368,9 @@ def naimark_dilate(frame, tol=FRAME_RTOL):
     return NaimarkDilation(unitary=basis, subspace_dim=n)
 
 
-def unitary_transform(frame, u, tol=FRAME_RTOL):
+def unitary_transform(frame, u):
     """The frame {U g_k}; bounds and tightness are preserved."""
-    mat = _as_complex_matrix(u, "u")
-    if mat.shape != (frame.dim, frame.dim):
-        raise DimensionMismatchError(
-            "u shape %r, expected %r" % (mat.shape, (frame.dim, frame.dim))
-        )
-    if np.max(np.abs(mat.conj().T @ mat - np.eye(frame.dim))) > tol:
-        raise NotUnitaryError("matrix is not unitary within %.1e" % tol)
+    mat = _as_complex_matrix(u, "u", (frame.dim, frame.dim))
+    if np.max(np.abs(mat.conj().T @ mat - np.eye(frame.dim))) > FRAME_RTOL:
+        raise NotUnitaryError("matrix is not unitary within %.1e" % FRAME_RTOL)
     return Frame(frame.analysis @ mat.conj().T)

@@ -32,7 +32,15 @@ from functools import partial
 import numpy as np
 
 from .errors import DimensionMismatchError, ParseError, SizeLimitError
-from .frames import Frame, _checked_operator, _inverse_operator, _with_solver
+from .frames import (
+    FRAME_RTOL,
+    Frame,
+    _as_complex_vector,
+    _check_frame_shape,
+    _checked_operator,
+    _inverse_operator,
+    _with_solver,
+)
 from .hermitian import jacobi_eigh
 
 PROTOTYPE_NAMES = ("delta", "gaussian", "boxcar")
@@ -81,15 +89,6 @@ class GaborParams:
         return self.mods * self.steps
 
 
-def _proto_vector(proto, params):
-    arr = np.asarray(proto, dtype=np.complex128).reshape(-1)
-    if arr.shape[0] != params.length:
-        raise DimensionMismatchError(
-            "prototype length %d, expected %d" % (arr.shape[0], params.length)
-        )
-    return arr
-
-
 def _modulations(k, params):
     """exp(2 pi i k n / K) over n = 0..M-1; k may be a column of indices."""
     return np.exp(2j * np.pi * k * np.arange(params.length) / params.mods)
@@ -97,7 +96,7 @@ def _modulations(k, params):
 
 def weyl_shift(x, k, l, params):
     """Translate by l*T and modulate by the k-th K-th root of unity."""
-    arr = _proto_vector(x, params)
+    arr = _as_complex_vector(x, params.length, "prototype")
     return np.roll(arr, l * params.shift) * _modulations(k, params)
 
 
@@ -147,7 +146,7 @@ def build_gabor_frame(proto, params):
     frame built from the bit-identical prototype and equal params is alive,
     that same frame is returned.
     """
-    g = np.array(_proto_vector(proto, params))
+    g = np.array(_as_complex_vector(proto, params.length, "prototype"))
     key = (g.tobytes(), params)
     frame = _live_systems.get(key)
     if frame is None:
@@ -170,21 +169,20 @@ def gabor_dual_prototype(proto, params):
     The spectrum of a live system built from the same prototype and params
     is reused.
     """
-    g = _proto_vector(proto, params)
+    g = _as_complex_vector(proto, params.length, "prototype")
     return _inverse_operator(build_gabor_frame(g, params)) @ g
 
 
-def verify_wh_structure(dual_frame, proto, params, tol=1e-10):
+def verify_wh_structure(dual_frame, proto, params):
     """Whether dual_frame is the Weyl-Heisenberg system of proto.
 
-    Compares vectors in build order (k outer, l inner) within tol.
+    Compares vectors in build order (k outer, l inner) within FRAME_RTOL
+    times max|proto|, the largest entry of that system (modulations have
+    unit modulus), so rescaling both sides never changes the answer.
     """
-    g = _proto_vector(proto, params)
-    if dual_frame.dim != params.length or dual_frame.num_vectors != params.count:
-        raise DimensionMismatchError(
-            "frame is %d vectors in C^%d, params need %d in C^%d"
-            % (dual_frame.num_vectors, dual_frame.dim, params.count, params.length)
-        )
+    g = _as_complex_vector(proto, params.length, "prototype")
+    _check_frame_shape(dual_frame, (params.count, params.length), "frame")
+    tol = FRAME_RTOL * np.abs(g).max()
     return bool(np.all(np.abs(dual_frame.vectors - _system_vectors(g, params)) <= tol))
 
 

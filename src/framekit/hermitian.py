@@ -31,8 +31,8 @@ def _conj_t(a):
     return np.conj(np.swapaxes(a, -1, -2))
 
 
-def is_hermitian(mat, rtol=HERMITIAN_RTOL):
-    """True when mat is square and conjugate-symmetric within rtol.
+def is_hermitian(mat):
+    """True when mat is square and conjugate-symmetric within HERMITIAN_RTOL.
 
     The tolerance is relative to the largest entry magnitude, so an all-zero
     matrix is Hermitian and scale does not matter.  A (..., n, n) stack is
@@ -45,7 +45,7 @@ def is_hermitian(mat, rtol=HERMITIAN_RTOL):
         return True
     deviation = np.max(np.abs(mat - _conj_t(mat)), axis=(-2, -1))
     scale = np.max(np.abs(mat), axis=(-2, -1))
-    return bool(np.all(deviation <= rtol * scale))
+    return bool(np.all(deviation <= HERMITIAN_RTOL * scale))
 
 
 def off_diagonal_mass(mat):
@@ -95,21 +95,22 @@ def jacobi_eigh(mat, tol=OFF_TOLERANCE, max_sweeps=SWEEP_LIMIT):
     a = np.array(mat, dtype=np.complex128)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatchError("expected a square matrix, got shape %r" % (a.shape,))
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise DimensionMismatchError("matrix entries must be finite")
     if not is_hermitian(a):
         raise NotHermitianError("matrix is not conjugate-symmetric")
     shape = a.shape
     n = shape[-1]
-    # exact symmetrization so rotations preserve Hermitian structure to the bit
-    a = ((a + _conj_t(a)) / 2.0).reshape(-1, n, n)
+    a = a.reshape(-1, n, n)
     # scale each member by a power of two so its largest entry lies in
-    # [0.5, 1): exact, and the Frobenius norms below neither overflow nor
-    # underflow; eigenvalues are scaled back at the end
+    # [0.5, 1): exact, and neither the symmetrization nor the Frobenius norms
+    # below overflow or underflow; eigenvalues are scaled back at the end
     largest = np.maximum(np.abs(a.real).max(axis=(-2, -1)), np.abs(a.imag).max(axis=(-2, -1)))
     exponent = np.frexp(largest)[1]
     np.ldexp(a.real, -exponent[:, None, None], out=a.real)
     np.ldexp(a.imag, -exponent[:, None, None], out=a.imag)
+    # exact symmetrization so rotations preserve Hermitian structure to the bit
+    a = (a + _conj_t(a)) / 2.0
     target = tol * np.linalg.norm(a, axis=(-2, -1))
     # contributions below skip_level per element cannot push a member's mass
     # over its target even if all n^2 entries sit at that level

@@ -27,7 +27,7 @@ from .errors import (
     ProtectedBinError,
     SizeLimitError,
 )
-from .frames import Frame
+from .frames import Frame, _as_complex_vector
 
 PR_TOL = 1e-9
 # Monte Carlo work limit, trials * N.  With trials >= 1 it also bounds N, so
@@ -105,6 +105,8 @@ def dontcare_bins(model):
 def make_bandlimited(size, band, seed):
     """Unit-energy signal with i.i.d. complex-Gaussian passband coefficients."""
     model = SamplingModel(size=size, band=band, period=1)  # validates size/band
+    if seed < 0:
+        raise DimensionMismatchError("seed must be >= 0, got %d" % seed)
     rng = np.random.default_rng(seed)
     spectrum = np.zeros(size, dtype=np.complex128)
     width = model.passband_width
@@ -130,12 +132,7 @@ def check_trial_budget(size, trials):
 
 def sample(x, model):
     """y[m] = x[m Ts]."""
-    x = np.asarray(x, dtype=np.complex128)
-    if x.shape != (model.size,):
-        raise DimensionMismatchError(
-            "signal length %r, expected %d" % (x.shape, model.size)
-        )
-    return x[:: model.period].copy()
+    return _as_complex_vector(x, model.size, "signal")[:: model.period].copy()
 
 
 @dataclass(frozen=True)
@@ -156,13 +153,27 @@ class ReconFilter:
         return cls(impulse=impulse, spectrum=np.fft.fft(impulse))
 
 
-def ideal_lowpass(model):
-    """H = Ts on |nu| <= W, zero elsewhere; the unique PR filter at 2W+1 = L."""
+def _check_no_aliasing(model):
     if model.passband_width > model.num_samples:
         raise AliasingError(
             "passband width %d exceeds sample count %d"
             % (model.passband_width, model.num_samples)
         )
+
+
+def _filter_arrays(filt, model):
+    arrays = np.asarray(filt.impulse), np.asarray(filt.spectrum)
+    for arr in arrays:
+        if arr.shape != (model.size,):
+            raise DimensionMismatchError(
+                "filter length %r, expected %d" % (arr.shape, model.size)
+            )
+    return arrays
+
+
+def ideal_lowpass(model):
+    """H = Ts on |nu| <= W, zero elsewhere; the unique PR filter at 2W+1 = L."""
+    _check_no_aliasing(model)
     spectrum = np.zeros(model.size, dtype=np.complex128)
     spectrum[passband_bins(model) % model.size] = model.period
     return ReconFilter.from_spectrum(spectrum)
@@ -194,14 +205,11 @@ def make_recon_filter(model, dontcare_values=None):
     return ReconFilter.from_spectrum(spectrum)
 
 
-def is_perfect(filt, model, tol=PR_TOL):
-    """Check the PR constraints (passband gain Ts, alias images zero)."""
-    spectrum = np.asarray(filt.spectrum)
-    if spectrum.shape != (model.size,):
-        raise DimensionMismatchError(
-            "filter length %r, expected %d" % (spectrum.shape, model.size)
-        )
-    scale = tol * max(model.period, 1)
+def is_perfect(filt, model):
+    """Check the PR constraints (passband gain Ts, alias images zero) within
+    PR_TOL * Ts."""
+    spectrum = _filter_arrays(filt, model)[1]
+    scale = PR_TOL * max(model.period, 1)
     pass_ok = np.max(np.abs(spectrum[passband_bins(model) % model.size] - model.period)) <= scale
     alias = alias_bins(model)
     alias_ok = alias.size == 0 or np.max(np.abs(spectrum[alias % model.size])) <= scale
@@ -210,16 +218,8 @@ def is_perfect(filt, model, tol=PR_TOL):
 
 def reconstruct(samples, filt, model):
     """x'[n] = sum_m y[m] h[(n - m Ts) mod N] via the convolution theorem."""
-    y = np.asarray(samples, dtype=np.complex128)
-    if y.shape != (model.num_samples,):
-        raise DimensionMismatchError(
-            "sample count %r, expected %d" % (y.shape, model.num_samples)
-        )
-    spectrum = np.asarray(filt.spectrum)
-    if spectrum.shape != (model.size,):
-        raise DimensionMismatchError(
-            "filter length %r, expected %d" % (spectrum.shape, model.size)
-        )
+    y = _as_complex_vector(samples, model.num_samples, "samples")
+    spectrum = _filter_arrays(filt, model)[1]
     stuffed = np.zeros(model.size, dtype=np.complex128)
     stuffed[:: model.period] = y
     return np.fft.ifft(np.fft.fft(stuffed) * spectrum)
@@ -233,11 +233,7 @@ def analytic_mse(filt, model, sigma2):
     always equals the spectral form sigma2/(N Ts) * sum |H|^2; the profile
     itself is flat for PR filters supported in one alias period.
     """
-    h = np.asarray(filt.impulse)
-    if h.shape != (model.size,):
-        raise DimensionMismatchError(
-            "filter length %r, expected %d" % (h.shape, model.size)
-        )
+    h = _filter_arrays(filt, model)[0]
     energy = np.abs(h) ** 2
     poly = energy.reshape(model.num_samples, model.period).sum(axis=0)
     profile = sigma2 * poly[np.arange(model.size) % model.period]
@@ -246,22 +242,18 @@ def analytic_mse(filt, model, sigma2):
 
 def spectral_mse(filt, model, sigma2):
     """sigma2/(N Ts) * sum_nu |H[nu]|^2, the frequency-domain route."""
-    spectrum = np.asarray(filt.spectrum)
-    if spectrum.shape != (model.size,):
-        raise DimensionMismatchError(
-            "filter length %r, expected %d" % (spectrum.shape, model.size)
-        )
+    spectrum = _filter_arrays(filt, model)[1]
     return float(sigma2 * np.sum(np.abs(spectrum) ** 2) / (model.size * model.period))
 
 
-def mse_decomposition(filt, model, sigma2, tol=PR_TOL):
+def mse_decomposition(filt, model, sigma2):
     """(inband, outband) noise MSE of a PR filter.
 
     inband covers the passband (equals sigma2 * (2W+1)/L for PR filters);
     outband is everything else, carried entirely by don't-care bins since the
     alias images are pinned at zero.  The two add up to the total.
     """
-    if not is_perfect(filt, model, tol=tol):
+    if not is_perfect(filt, model):
         raise NotPerfectReconstructionError("filter does not satisfy the PR constraints")
     spectrum = np.asarray(filt.spectrum)
     weight = sigma2 / (model.size * model.period)
@@ -298,16 +290,12 @@ def monte_carlo_mse(x, filt, model, sigma2, trials, seed, complex_noise=True):
     reproducible for a given seed no matter how trials are partitioned; the
     final average is numpy's pairwise mean over the per-trial values.
     """
-    x = np.asarray(x, dtype=np.complex128)
-    if x.shape != (model.size,):
-        raise DimensionMismatchError(
-            "signal length %r, expected %d" % (x.shape, model.size)
-        )
+    x = _as_complex_vector(x, model.size, "signal")
     if trials < 1:
         raise DimensionMismatchError("trials must be >= 1")
     check_trial_budget(model.size, trials)
-    if sigma2 < 0:
-        raise DimensionMismatchError("sigma2 must be >= 0")
+    if not 0 <= sigma2 < np.inf:
+        raise DimensionMismatchError("sigma2 must be finite and >= 0")
     y = sample(x, model)
     l = model.num_samples
     per_trial = np.empty(trials)
@@ -341,11 +329,7 @@ def sampling_frame(model):
     each <dual_m, g_m> equals (2W+1)/L, so the frame is exact iff sampling
     is critical.
     """
-    if model.passband_width > model.num_samples:
-        raise AliasingError(
-            "passband width %d exceeds sample count %d"
-            % (model.passband_width, model.num_samples)
-        )
+    _check_no_aliasing(model)
     m = np.arange(model.num_samples).reshape(-1, 1)
     nu = passband_bins(model).reshape(1, -1)
     analysis = np.exp(2j * np.pi * nu * m * model.period / model.size) / model.size

@@ -104,10 +104,17 @@ def matrix_from_csv_text(text):
     return _finite(np.array(rows, dtype=np.complex128))
 
 
+def _read_text(path):
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError("file is not UTF-8 text: %s" % exc) from None
+
+
 def load_matrix(path):
     """Read a matrix from a .json or .csv file (sniffed when ambiguous)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    text = _read_text(path)
     name = str(path).lower()
     if name.endswith(".json"):
         return matrix_from_json(_json_loads(text))
@@ -124,12 +131,13 @@ def _json_loads(text):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError("invalid JSON: %s" % exc) from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
 
 
 def load_json(path):
     """Parse a JSON file, mapping syntax errors to ParseError."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return _json_loads(handle.read())
+    return _json_loads(_read_text(path))
 
 
 def load_vector(path):

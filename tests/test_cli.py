@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import framekit
+import report_oracle
 from framekit import cli, gabor, sampling
 from framekit.serialization import (
     dumps_report,
@@ -398,6 +399,72 @@ def test_sample_sweep_period_errors(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 64, "band": 4, "periods": [4, "x"]}))
     assert out_error(capsys, "sample-sweep", "--input", str(cfg)) == "parse_error"
+
+
+def test_sample_sweep_csv_matches_the_json_values(capsys):
+    argv = ("sample-sweep", "--n", "32", "--band", "2", "--periods", "4,2,1", "--trials", "25")
+    rows = out_json(capsys, *argv, "--format", "json")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    want = [",".join(report_oracle.format_float(row[key]) for key in row) for row in rows]
+    assert out == "\n".join([cli.SWEEP_HEADER] + want) + "\n"
+
+
+def test_sampling_request_errors_keep_their_order(tmp_path, capsys):
+    huge = "100000000000"
+    # n and band resolve before the trial budget, the budget before the period
+    assert run_cli(capsys, "sample-mse", "--n", "8", "--trials", huge)[0] == 2
+    assert out_error(capsys, "sample-mse", "--n", "8", "--band", "1", "--trials", huge) == "too_large"
+    assert out_error(capsys, "sample-sweep", "--n", "8", "--band", "1", "--trials", huge) == "too_large"
+    # sample-reconstruct draws one signal whatever the trial count
+    report = out_json(capsys, "sample-reconstruct", "--n", "8", "--band", "1", "--period", "2",
+                      "--trials", huge)
+    assert report["pr"] is True
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": "x", "band": 1}))
+    assert out_error(capsys, "sample-mse", "--input", str(cfg)) == "parse_error"
+    assert out_json(capsys, "sample-mse", "--input", str(cfg), "--n", "8", "--period", "2",
+                    "--trials", "3")["n"] == 8
+    # the model reports a bad band before the filter file is read
+    code, out, _ = run_cli(capsys, "sample-mse", "--n", "8", "--band", "9", "--period", "2",
+                           "--filter", str(tmp_path / "missing.json"))
+    assert code == 1 and json.loads(out)["detail"] == "band 9 outside centered bin range of size 8"
+
+
+UNTRUSTED_INPUTS = (
+    (["frame-bounds", "--input", "{binary}"], "parse_error"),
+    (["frame-bounds", "--input", "{deep}"], "parse_error"),
+    (["sample-mse", "--input", "{binary}"], "parse_error"),
+    (["sample-sweep", "--input", "{deep}"], "parse_error"),
+    (["sample-mse", "--n", "8", "--band", "1", "--period", "2", "--seed", "-1"], "dimension_mismatch"),
+    (["sample-reconstruct", "--n", "8", "--band", "1", "--period", "2", "--seed", "-1"], "dimension_mismatch"),
+    (["sample-sweep", "--n", "8", "--band", "1", "--periods", "2", "--seed", "-1"], "dimension_mismatch"),
+    (["sample-mse", "--n", "8", "--band", "1", "--period", "2", "--sigma2", "nan"], "dimension_mismatch"),
+    (["sample-mse", "--n", "8", "--band", "1", "--period", "2", "--sigma2", "inf"], "dimension_mismatch"),
+    (["sample-sweep", "--n", "8", "--band", "1", "--periods", "2,1", "--sigma2", "inf"], "dimension_mismatch"),
+)
+
+
+def test_untrusted_inputs_report_typed_errors(tmp_path, capsys):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b'{"n": 8, \xff}')
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    cases = [([a.format(binary=binary, deep=deep) for a in argv], want)
+             for argv, want in UNTRUSTED_INPUTS]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv, want in cases:
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err, json.loads(out)["error"]) == (1, "", want), argv
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(framekit.__file__)))
+    # one process per kind: undecodable, deeply nested, seed, nan, inf
+    for argv, want in (cases[i] for i in (0, 1, 4, 7, 8)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "framekit.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (proc.returncode, proc.stderr, json.loads(proc.stdout)["error"]) == (1, "", want), argv
 
 
 # ------------------------------------------------------------------ output

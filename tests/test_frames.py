@@ -1,5 +1,6 @@
 """Frame operations: worked small examples plus randomized invariants."""
 
+import re
 import warnings
 
 import numpy as np
@@ -257,6 +258,35 @@ def test_left_inverse_rejects_bad_free_param_shape():
 
 def test_is_left_inverse_rejects_non_inverse():
     assert not is_left_inverse(redundant_basis(), np.zeros((2, 3)))
+
+
+def test_matrix_arguments_are_checked_in_one_place():
+    f = redundant_basis()  # 3 vectors in C^2
+    nan = np.zeros((2, 3))
+    nan[0, 1] = np.nan
+    for call, name, want in (
+        (lambda m: left_inverse(f, m), "free_param", (2, 3)),
+        (lambda m: is_left_inverse(f, m), "matrix", (2, 3)),
+        (lambda m: unitary_transform(f, m), "u", (2, 2)),
+    ):
+        detail = "%s shape (3, 3), expected %r" % (name, want)
+        with pytest.raises(DimensionMismatchError, match="^%s$" % re.escape(detail)):
+            call(np.eye(3))
+        with pytest.raises(DimensionMismatchError, match="^%s entries must be finite$" % name):
+            call(nan[:, : want[1]])
+    for call in (lambda d: reconstruct(f, d, [1.0, 2.0, 3.0]), lambda d: check_biorthonormal(f, d)):
+        with pytest.raises(DimensionMismatchError, match=r"^dual shape \(2, 2\), expected \(3, 2\)$"):
+            call(basis2())
+
+
+def test_left_inverse_overflow_is_typed_and_silent():
+    # pinv + M (I - T pinv) leaves float64 for a free parameter near its limit
+    f = Frame.from_vectors([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
+    m = np.tile([1.7e308, -1.7e308], (2, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericOverflowError, match="left inverse overflows"):
+            left_inverse(f, m)
 
 
 # -------------------------------------------------------------- projection

@@ -251,6 +251,45 @@ def test_verify_false_for_wrong_prototype():
     assert not verify_wh_structure(f, [1.0, 0.0, 0.0, 0.0], p)
 
 
+def test_verify_wh_structure_does_not_depend_on_scale():
+    # the dual of a prototype scaled by s has entries of order 1/s, so an
+    # absolute tolerance read the correct dual at s = 1e-8 as "not WH"
+    p = GaborParams(length=48, shift=4, mods=12)
+    for s in (1.0, 1e-4, 1e8, 1e-8, 1e-12, 2.0**-400, 2.0**400):
+        g = named_prototype("gaussian", 48) * s
+        system = build_gabor_frame(g, p)
+        dual_proto = gabor_dual_prototype(g, p)
+        dual = canonical_dual(system)
+        assert verify_wh_structure(dual, dual_proto, p), s
+        # not Weyl-Heisenberg: one entry off by 1e-6 of the largest, or the
+        # primal system against the dual prototype
+        off = dual.analysis.copy()
+        off[5, 7] += 1e-6 * np.max(np.abs(dual_proto))
+        assert not verify_wh_structure(Frame(off), dual_proto, p), s
+        assert not verify_wh_structure(system, dual_proto, p), s
+
+
+def test_prototypes_are_checked_like_frame_vectors():
+    p = GaborParams(length=4, shift=2, mods=2)
+    g = np.array([1.0, 0.5, 0.0, 0.25])
+    # any array with M entries is a prototype
+    assert np.array_equal(build_gabor_frame(g.reshape(2, 2), p).analysis,
+                          build_gabor_frame(g, p).analysis)
+    bad = g.copy()
+    bad[1] = np.nan
+    system = build_gabor_frame(g, p)
+    for call in (
+        lambda: weyl_shift(bad, 1, 1, p),
+        lambda: build_gabor_frame(bad, p),
+        lambda: gabor_dual_prototype(bad, p),
+        lambda: verify_wh_structure(system, bad, p),
+    ):
+        with pytest.raises(DimensionMismatchError, match="prototype entries must be finite"):
+            call()
+    with pytest.raises(DimensionMismatchError, match="prototype has length 3, expected 4"):
+        build_gabor_frame(g[:3], p)
+
+
 # --------------------------------------------------------------- prototypes
 
 

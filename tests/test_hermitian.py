@@ -258,3 +258,15 @@ def test_eigenvalue_overflow_is_typed_and_silent():
         warnings.simplefilter("error")
         with pytest.raises(NumericOverflowError):
             jacobi_eigh(np.full((3, 3), 8e307))
+
+
+def test_symmetrization_does_not_overflow():
+    # (a + a^H) / 2 of entries near the float64 limit overflowed before the
+    # power-of-two scaling; scaled first, it is exact
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w, v = jacobi_eigh(np.diag([1e308, -1e308]))
+        assert np.array_equal(w, [-1e308, 1e308])
+        assert np.array_equal(np.abs(v), [[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(NumericOverflowError):
+            jacobi_eigh(np.full((2, 2), 1e308))  # eigenvalue 2e308

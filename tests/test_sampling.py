@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from framekit import sampling
 from framekit import (
     AliasingError,
     DimensionMismatchError,
@@ -325,6 +326,58 @@ def test_monte_carlo_single_trial_and_validation():
         monte_carlo_mse(x, ideal_lowpass(m), m, 1.0, trials=0, seed=0)
     with pytest.raises(DimensionMismatchError):
         monte_carlo_mse(x, ideal_lowpass(m), m, -1.0, trials=2, seed=0)
+
+
+def test_signals_and_samples_are_checked_like_frame_vectors(monkeypatch):
+    m = SamplingModel(size=16, band=1, period=4)
+    x = make_bandlimited(16, 1, seed=0)
+    filt = ideal_lowpass(m)
+    # any array with the right number of entries is a vector
+    assert np.array_equal(sample(x.reshape(1, -1), m), sample(x, m))
+    assert np.array_equal(reconstruct(sample(x, m).reshape(-1, 1), filt, m),
+                          reconstruct(sample(x, m), filt, m))
+    bad = x.copy()
+    bad[3] = np.nan
+    with pytest.raises(DimensionMismatchError, match="signal entries must be finite"):
+        sample(bad, m)
+    with pytest.raises(DimensionMismatchError, match="samples entries must be finite"):
+        reconstruct(np.full(4, np.inf), filt, m)
+    with pytest.raises(DimensionMismatchError, match="samples has length 5, expected 4"):
+        reconstruct(np.zeros(5), filt, m)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("noise drawn for a rejected argument")
+
+    monkeypatch.setattr(sampling, "_trial_rng", no_draw)
+    with pytest.raises(DimensionMismatchError, match="signal entries must be finite"):
+        monte_carlo_mse(bad, filt, m, 1.0, trials=2, seed=0)
+    for sigma2 in (np.nan, np.inf, -np.inf, -1.0):
+        with pytest.raises(DimensionMismatchError, match="sigma2 must be finite and >= 0"):
+            monte_carlo_mse(x, filt, m, sigma2, trials=2, seed=0)
+
+
+def test_negative_seed_is_rejected_before_drawing(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("signal drawn for a rejected seed")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(DimensionMismatchError, match="seed must be >= 0, got -1"):
+        make_bandlimited(16, 1, seed=-1)
+
+
+def test_filter_impulse_and_spectrum_are_both_checked():
+    # a filter whose impulse and spectrum disagree in length reaches every
+    # consumer as the same typed error, not a numpy reshape failure
+    m = SamplingModel(size=16, band=1, period=4)
+    lopsided = ReconFilter(impulse=np.zeros(8, dtype=complex), spectrum=ideal_lowpass(m).spectrum)
+    for call in (
+        lambda: analytic_mse(lopsided, m, 1.0),
+        lambda: spectral_mse(lopsided, m, 1.0),
+        lambda: is_perfect(lopsided, m),
+        lambda: reconstruct(np.zeros(4), lopsided, m),
+    ):
+        with pytest.raises(DimensionMismatchError, match=r"filter length \(8,\), expected 16"):
+            call()
 
 
 # -------------------------------------------------------------- frame view

@@ -8,6 +8,7 @@ from framekit.serialization import (
     _matrix_fields,
     dumps_report,
     format_float,
+    load_json,
     load_matrix,
     load_vector,
     matrix_csv_text,
@@ -139,6 +140,18 @@ def test_load_matrix_bad_json(tmp_path):
     p.write_text("{not json")
     with pytest.raises(ParseError):
         load_matrix(p)
+
+
+def test_undecodable_and_deeply_nested_files_are_parse_errors(tmp_path):
+    binary = tmp_path / "m.json"
+    binary.write_bytes(b'{"rows": 1, \xff\xfe}')
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    for load in (load_matrix, load_json):
+        with pytest.raises(ParseError, match="not UTF-8"):
+            load(binary)
+        with pytest.raises(ParseError, match="nested too deeply"):
+            load(deep)
 
 
 def test_load_vector(tmp_path):
