@@ -39,51 +39,53 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="verb", required=True, metavar="verb")
 
-    def add(name, help_, **kwargs):
-        p = sub.add_parser(name, help=help_, **kwargs)
+    def add(name, help_, handler):
+        p = sub.add_parser(name, help=help_)
+        p.set_defaults(handler=handler)
         p.add_argument("--output", help="write the report here instead of stdout")
         p.add_argument(
             "--format", choices=("json", "csv"), default=None, help="report format"
         )
         return p
 
-    p = add("frame-analyze", "coefficients <f, g_k> of a signal")
+    p = add("frame-analyze", "coefficients <f, g_k> of a signal", _cmd_frame_analyze)
     p.add_argument("--input", required=True, help="frame file (vectors as rows)")
     p.add_argument("--signal", required=True, help="signal vector file")
 
-    p = add("frame-bounds", "tightest frame bounds and classification")
+    p = add("frame-bounds", "tightest frame bounds and classification", _cmd_frame_bounds)
     p.add_argument("--input", required=True)
 
-    p = add("frame-dual", "canonical dual frame, or an alternative via --param")
+    p = add("frame-dual", "canonical dual frame, or an alternative via --param", _cmd_frame_dual)
     p.add_argument("--input", required=True)
     p.add_argument("--param", help="free left-inverse parameter matrix (N x K)")
 
-    p = add("frame-tighten", "canonical tight frame S^{-1/2} g_k")
+    p = add("frame-tighten", "canonical tight frame S^{-1/2} g_k", _cmd_frame_tighten)
     p.add_argument("--input", required=True)
 
-    p = add("frame-naimark", "orthonormal dilation of a tight unit frame")
+    p = add("frame-naimark", "orthonormal dilation of a tight unit frame", _cmd_frame_naimark)
     p.add_argument("--input", required=True)
 
-    p = add("frame-exactness", "diagonal <dual_k, g_k> and exact/inexact label")
+    p = add("frame-exactness", "diagonal <dual_k, g_k> and exact/inexact label", _cmd_frame_exactness)
     p.add_argument("--input", required=True)
 
-    for name, help_ in (
-        ("gabor-build", "build the Weyl-Heisenberg frame of a prototype"),
-        ("gabor-dual", "dual prototype S^{-1} g"),
-        ("gabor-check", "bounds plus dual-structure verification"),
+    for name, help_, handler in (
+        ("gabor-build", "build the Weyl-Heisenberg frame of a prototype", _cmd_gabor_build),
+        ("gabor-dual", "dual prototype S^{-1} g", _cmd_gabor_dual),
+        ("gabor-check", "bounds plus dual-structure verification", _cmd_gabor_check),
     ):
-        p = add(name, help_)
+        p = add(name, help_, handler)
         p.add_argument("--proto", required=True, help="delta|gaussian|boxcar or a vector file")
         p.add_argument("--n", required=True, type=int, help="signal length M")
         p.add_argument("--shift", required=True, type=int, help="time step T (divides M)")
         p.add_argument("--mods", required=True, type=int, help="modulation count K")
 
-    for name, help_ in (
-        ("sample-reconstruct", "sample a random bandlimited signal and reconstruct"),
-        ("sample-mse", "analytic vs Monte Carlo noise MSE"),
-        ("sample-sweep", "MSE across sampling periods (CSV by default)"),
+    for name, help_, handler in (
+        ("sample-reconstruct", "sample a random bandlimited signal and reconstruct",
+         _cmd_sample_reconstruct),
+        ("sample-mse", "analytic vs Monte Carlo noise MSE", _cmd_sample_mse),
+        ("sample-sweep", "MSE across sampling periods (CSV by default)", _cmd_sample_sweep),
     ):
-        p = add(name, help_)
+        p = add(name, help_, handler)
         p.add_argument("--input", help="config JSON {n, band, period(s), sigma2, trials, seed, filter}")
         p.add_argument("--n", type=int, help="signal length N (even)")
         p.add_argument("--band", type=int, help="band half-width W in bins")
@@ -199,10 +201,8 @@ def _cmd_gabor_check(args):
 def _as_strict_int(value):
     if isinstance(value, bool):
         raise ValueError("boolean is not an integer")
-    if isinstance(value, float):
-        if not value.is_integer():
-            raise ValueError("not an integer")
-        return int(value)
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("not an integer")
     return int(value)
 
 
@@ -350,22 +350,6 @@ def _cmd_sample_sweep(args):
     return SWEEP_HEADER + "\n" + _fill("\n".join([line] * len(rows)), table)
 
 
-_HANDLERS = {
-    "frame-analyze": _cmd_frame_analyze,
-    "frame-bounds": _cmd_frame_bounds,
-    "frame-dual": _cmd_frame_dual,
-    "frame-tighten": _cmd_frame_tighten,
-    "frame-naimark": _cmd_frame_naimark,
-    "frame-exactness": _cmd_frame_exactness,
-    "gabor-build": _cmd_gabor_build,
-    "gabor-dual": _cmd_gabor_dual,
-    "gabor-check": _cmd_gabor_check,
-    "sample-reconstruct": _cmd_sample_reconstruct,
-    "sample-mse": _cmd_sample_mse,
-    "sample-sweep": _cmd_sample_sweep,
-}
-
-
 def run(argv=None):
     """Execute one verb; returns the process exit code."""
     parser = build_parser()
@@ -374,7 +358,7 @@ def run(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        text = _HANDLERS[args.verb](args)
+        text = args.handler(args)
         if args.output:
             with open(args.output, "w", encoding="utf-8") as handle:
                 handle.write(text + "\n")

@@ -43,9 +43,22 @@ def is_hermitian(mat):
         return False
     if mat.size == 0:
         return True
-    deviation = np.max(np.abs(mat - _conj_t(mat)), axis=(-2, -1))
-    scale = np.max(np.abs(mat), axis=(-2, -1))
+    a = mat.astype(np.complex128)
+    _prescale(a)
+    deviation = np.max(np.abs(a - _conj_t(a)), axis=(-2, -1))
+    scale = np.max(np.abs(a), axis=(-2, -1))
     return bool(np.all(deviation <= HERMITIAN_RTOL * scale))
+
+
+def _prescale(a):
+    """Scale each member of the complex stack a in place by a power of two so
+    its largest real or imaginary part lies in [0.5, 1).  Exact, and nothing
+    formed from it overflows or underflows; returns the exponents."""
+    largest = np.maximum(np.abs(a.real).max(axis=(-2, -1)), np.abs(a.imag).max(axis=(-2, -1)))
+    exponent = np.frexp(largest)[1]
+    np.ldexp(a.real, -exponent[..., None, None], out=a.real)
+    np.ldexp(a.imag, -exponent[..., None, None], out=a.imag)
+    return exponent
 
 
 def off_diagonal_mass(mat):
@@ -72,19 +85,18 @@ def _round_robin(n):
     return p[real].reshape(m - 1, -1), q[real].reshape(m - 1, -1)
 
 
-def jacobi_eigh(mat, tol=OFF_TOLERANCE, max_sweeps=SWEEP_LIMIT):
+def jacobi_eigh(mat):
     """Eigendecomposition of a Hermitian matrix or a stack of them.
+
+    A member stops rotating once its off-diagonal Frobenius mass is at most
+    OFF_TOLERANCE times its Frobenius norm; ConvergenceError if any member
+    is still above that after SWEEP_LIMIT sweeps.
 
     Parameters
     ----------
     mat : (..., n, n) array_like
         Hermitian (conjugate-symmetric within HERMITIAN_RTOL), or a stack of
         such matrices.
-    tol : float
-        A member has converged when its off-diagonal Frobenius mass is
-        <= tol * ||member||_F; converged members are not rotated further.
-    max_sweeps : int
-        Sweep budget; ConvergenceError beyond it.
 
     Returns
     -------
@@ -97,21 +109,15 @@ def jacobi_eigh(mat, tol=OFF_TOLERANCE, max_sweeps=SWEEP_LIMIT):
         raise DimensionMismatchError("expected a square matrix, got shape %r" % (a.shape,))
     if not np.isfinite(a).all():
         raise DimensionMismatchError("matrix entries must be finite")
-    if not is_hermitian(a):
-        raise NotHermitianError("matrix is not conjugate-symmetric")
     shape = a.shape
     n = shape[-1]
     a = a.reshape(-1, n, n)
-    # scale each member by a power of two so its largest entry lies in
-    # [0.5, 1): exact, and neither the symmetrization nor the Frobenius norms
-    # below overflow or underflow; eigenvalues are scaled back at the end
-    largest = np.maximum(np.abs(a.real).max(axis=(-2, -1)), np.abs(a.imag).max(axis=(-2, -1)))
-    exponent = np.frexp(largest)[1]
-    np.ldexp(a.real, -exponent[:, None, None], out=a.real)
-    np.ldexp(a.imag, -exponent[:, None, None], out=a.imag)
+    exponent = _prescale(a)  # eigenvalues are scaled back at the end
+    if not is_hermitian(a):
+        raise NotHermitianError("matrix is not conjugate-symmetric")
     # exact symmetrization so rotations preserve Hermitian structure to the bit
     a = (a + _conj_t(a)) / 2.0
-    target = tol * np.linalg.norm(a, axis=(-2, -1))
+    target = OFF_TOLERANCE * np.linalg.norm(a, axis=(-2, -1))
     # contributions below skip_level per element cannot push a member's mass
     # over its target even if all n^2 entries sit at that level
     skip_level = (target / (2.0 * n))[:, None]
@@ -127,11 +133,11 @@ def jacobi_eigh(mat, tol=OFF_TOLERANCE, max_sweeps=SWEEP_LIMIT):
         active = mass > target
         if not active.any():
             break
-        if sweeps >= max_sweeps:
+        if sweeps >= SWEEP_LIMIT:
             worst = int(np.argmax(mass - target))
             raise ConvergenceError(
                 "Jacobi sweeps exhausted (%d) with off-diagonal mass %.3e > %.3e"
-                % (max_sweeps, *np.ldexp([mass[worst], target[worst]], exponent[worst]))
+                % (SWEEP_LIMIT, *np.ldexp([mass[worst], target[worst]], exponent[worst]))
             )
         for p, q in schedule:
             apq = a[:, p, q]

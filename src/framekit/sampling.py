@@ -24,6 +24,7 @@ from .errors import (
     AliasingError,
     DimensionMismatchError,
     NotPerfectReconstructionError,
+    NumericOverflowError,
     ProtectedBinError,
     SizeLimitError,
 )
@@ -240,12 +241,6 @@ def analytic_mse(filt, model, sigma2):
     return float(np.mean(profile)), profile
 
 
-def spectral_mse(filt, model, sigma2):
-    """sigma2/(N Ts) * sum_nu |H[nu]|^2, the frequency-domain route."""
-    spectrum = _filter_arrays(filt, model)[1]
-    return float(sigma2 * np.sum(np.abs(spectrum) ** 2) / (model.size * model.period))
-
-
 def mse_decomposition(filt, model, sigma2):
     """(inband, outband) noise MSE of a PR filter.
 
@@ -274,7 +269,6 @@ class NoiseExperiment:
     estimate: float
     stderr: float
     analytic: float
-    complex_noise: bool
 
 
 def _trial_rng(seed, trial):
@@ -283,12 +277,13 @@ def _trial_rng(seed, trial):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def monte_carlo_mse(x, filt, model, sigma2, trials, seed, complex_noise=True):
-    """Average reconstruction MSE over noisy-sample trials.
+def monte_carlo_mse(x, filt, model, sigma2, trials, seed):
+    """Average reconstruction MSE over trials of complex Gaussian sample noise.
 
     Trial t draws its noise from the (seed, t) Philox stream, so results are
     reproducible for a given seed no matter how trials are partitioned; the
     final average is numpy's pairwise mean over the per-trial values.
+    NumericOverflowError when a result exceeds float64.
     """
     x = _as_complex_vector(x, model.size, "signal")
     if trials < 1:
@@ -299,25 +294,24 @@ def monte_carlo_mse(x, filt, model, sigma2, trials, seed, complex_noise=True):
     y = sample(x, model)
     l = model.num_samples
     per_trial = np.empty(trials)
-    for t in range(trials):
-        rng = _trial_rng(seed, t)
-        if complex_noise:
-            z = rng.standard_normal(2 * l)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(trials):
+            z = _trial_rng(seed, t).standard_normal(2 * l)
             noise = np.sqrt(sigma2 / 2.0) * (z[:l] + 1j * z[l:])
-        else:
-            noise = np.sqrt(sigma2) * rng.standard_normal(l).astype(np.complex128)
-        recon = reconstruct(y + noise, filt, model)
-        per_trial[t] = np.mean(np.abs(x - recon) ** 2)
-    estimate = float(np.mean(per_trial))
-    stderr = float(np.std(per_trial, ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
+            recon = reconstruct(y + noise, filt, model)
+            per_trial[t] = np.mean(np.abs(x - recon) ** 2)
+        estimate = float(np.mean(per_trial))
+        stderr = float(np.std(per_trial, ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
+        analytic = analytic_mse(filt, model, sigma2)[0]
+    if not np.isfinite([estimate, stderr, analytic]).all():
+        raise NumericOverflowError("Monte Carlo MSE overflows: sigma2 too large for float64")
     return NoiseExperiment(
         sigma2=float(sigma2),
         trials=int(trials),
         seed=int(seed),
         estimate=estimate,
         stderr=stderr,
-        analytic=analytic_mse(filt, model, sigma2)[0],
-        complex_noise=bool(complex_noise),
+        analytic=analytic,
     )
 
 

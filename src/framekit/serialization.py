@@ -17,18 +17,10 @@ each value in Python.
 
 import csv
 import json
-import math
 
 import numpy as np
 
 from .errors import ParseError
-
-
-def format_float(x):
-    x = float(x) + 0.0  # folds -0.0 into 0.0 so equal values print identically
-    if not math.isfinite(x):
-        raise ParseError("non-finite value in output")
-    return "%.17g" % x
 
 
 def parse_complex(text):
@@ -151,7 +143,7 @@ def load_vector(path):
 def _fill(template, values):
     """``template % values`` over the float array, flat in C order.
 
-    Non-finite values raise as format_float does; -0.0 prints as 0.
+    Non-finite values raise ParseError; -0.0 prints as 0.
     """
     if not np.isfinite(values).all():
         raise ParseError("non-finite value in output")
@@ -201,11 +193,10 @@ def _emit(value, pieces):
         pieces.append(json.dumps(value))
     elif isinstance(value, (int, np.integer)):
         pieces.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
-        pieces.append(format_float(value))
     elif isinstance(value, str):
         pieces.append(json.dumps(value))
-    elif isinstance(value, np.ndarray) and value.dtype.kind == "f":
+    elif isinstance(value, (float, np.floating, np.ndarray)) and np.asarray(value).dtype.kind == "f":
+        value = np.asarray(value, dtype=np.float64)
         pieces.append(_fill(_array_template(value.shape), value))
     elif isinstance(value, np.ndarray):
         _emit(value.tolist(), pieces)

@@ -49,9 +49,8 @@ from framekit.sampling import (
     reconstruct as sample_reconstruct,
     sample,
     sampling_frame,
-    spectral_mse,
 )
-from conftest import random_frame, random_unitary, random_vector
+from conftest import random_frame, random_unitary, random_vector, spectral_mse
 
 RT3 = np.sqrt(3.0)
 MB = Frame.from_vectors([[0.0, 1.0], [-RT3 / 2, -0.5], [RT3 / 2, -0.5]])

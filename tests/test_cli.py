@@ -431,6 +431,40 @@ def test_sampling_request_errors_keep_their_order(tmp_path, capsys):
     assert code == 1 and json.loads(out)["detail"] == "band 9 outside centered bin range of size 8"
 
 
+def test_sample_config_rejections_keep_their_codes(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for config, detail in (
+        ({"n": True, "band": 1, "period": 2}, "bad config value for 'n': True"),
+        ({"n": 8, "band": 1, "period": 2, "trials": 2.5}, "bad config value for 'trials': 2.5"),
+        ({"n": 8, "band": 1, "periods": []}, "config 'periods' must be a nonempty list"),
+    ):
+        cfg.write_text(json.dumps(config))
+        verb = "sample-sweep" if "periods" in config else "sample-mse"
+        code, out, _ = run_cli(capsys, verb, "--input", str(cfg))
+        assert (code, json.loads(out)) == (1, {"error": "parse_error", "detail": detail})
+    code, out, err = run_cli(capsys, "sample-sweep", "--n", "8", "--band", "1", "--periods", ",")
+    assert (code, out) == (2, "") and err.endswith("error: empty --periods\n")
+
+
+def test_huge_sigma2_reports_overflow(capsys):
+    argvs = (
+        ["sample-mse", "--n", "8", "--band", "1", "--period", "2", "--sigma2", "1e308", "--trials", "3"],
+        ["sample-sweep", "--n", "8", "--band", "1", "--periods", "2,1", "--sigma2", "1e300", "--trials", "3"],
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in argvs:
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err, json.loads(out)["error"]) == (1, "", "overflow"), argv
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(framekit.__file__)))
+    for argv in argvs:
+        proc = subprocess.run(
+            [sys.executable, "-m", "framekit.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (proc.returncode, proc.stderr, json.loads(proc.stdout)["error"]) == (1, "", "overflow"), argv
+
+
 UNTRUSTED_INPUTS = (
     (["frame-bounds", "--input", "{binary}"], "parse_error"),
     (["frame-bounds", "--input", "{deep}"], "parse_error"),

@@ -13,6 +13,7 @@ from framekit import (
     is_hermitian,
     jacobi_eigh,
 )
+from framekit import hermitian
 from framekit.hermitian import _round_robin, off_diagonal_mass
 
 
@@ -104,12 +105,13 @@ def test_is_hermitian_tolerance():
     assert not is_hermitian(a)
 
 
-def test_sweep_budget_exhaustion_raises():
+def test_sweep_budget_exhaustion_raises(monkeypatch):
     rng = np.random.default_rng(17)
     a = random_hermitian(rng, 5)
     assert off_diagonal_mass(a) > 0
+    monkeypatch.setattr(hermitian, "SWEEP_LIMIT", 0)
     with pytest.raises(ConvergenceError):
-        jacobi_eigh(a, max_sweeps=0)
+        jacobi_eigh(a)
 
 
 def test_convergence_threshold_scales_with_matrix():
@@ -258,6 +260,19 @@ def test_eigenvalue_overflow_is_typed_and_silent():
         warnings.simplefilter("error")
         with pytest.raises(NumericOverflowError):
             jacobi_eigh(np.full((3, 3), 8e307))
+
+
+def test_hermitian_check_does_not_overflow():
+    # a - a^H overflows at the input's own scale, so the check runs at the
+    # solver's power-of-two scale
+    skew = np.array([[0.0, 1e308], [-1e308, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not is_hermitian(skew)
+        assert is_hermitian(np.abs(skew))
+        assert not is_hermitian(np.stack([np.eye(2), skew]))
+        with pytest.raises(NotHermitianError):
+            jacobi_eigh(skew)
 
 
 def test_symmetrization_does_not_overflow():

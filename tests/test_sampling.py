@@ -1,5 +1,7 @@
 """Periodic sampling and reconstruction: PR constraints, noise MSE, frame view."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from framekit import (
     DimensionMismatchError,
     ExactnessProfile,
     NotPerfectReconstructionError,
+    NumericOverflowError,
     ProtectedBinError,
     SizeLimitError,
     analyze,
@@ -37,8 +40,8 @@ from framekit.sampling import (
     reconstruct,
     sample,
     sampling_frame,
-    spectral_mse,
 )
+from conftest import spectral_mse
 
 def is_bandlimited(x, band, tol=1e-12):
     x = np.asarray(x, dtype=np.complex128)
@@ -308,15 +311,6 @@ def test_monte_carlo_matches_analytic():
     assert abs(exp.estimate - exp.analytic) < 5.0 * exp.stderr
 
 
-def test_monte_carlo_real_noise_same_mean():
-    m = SamplingModel(size=16, band=1, period=4)
-    x = make_bandlimited(16, 1, seed=4)
-    exp = monte_carlo_mse(x, ideal_lowpass(m), m, 0.5, trials=400, seed=2,
-                          complex_noise=False)
-    assert not exp.complex_noise
-    assert abs(exp.estimate - exp.analytic) < 5.0 * exp.stderr
-
-
 def test_monte_carlo_single_trial_and_validation():
     x = make_bandlimited(16, 1, seed=0)
     m = SamplingModel(size=16, band=1, period=4)
@@ -326,6 +320,16 @@ def test_monte_carlo_single_trial_and_validation():
         monte_carlo_mse(x, ideal_lowpass(m), m, 1.0, trials=0, seed=0)
     with pytest.raises(DimensionMismatchError):
         monte_carlo_mse(x, ideal_lowpass(m), m, -1.0, trials=2, seed=0)
+
+
+def test_monte_carlo_overflow_is_typed_and_silent():
+    x = make_bandlimited(8, 1, seed=0)
+    m = SamplingModel(size=8, band=1, period=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sigma2, trials in ((1e308, 3), (1e300, 3), (1e308, 1)):
+            with pytest.raises(NumericOverflowError):
+                monte_carlo_mse(x, ideal_lowpass(m), m, sigma2, trials=trials, seed=0)
 
 
 def test_signals_and_samples_are_checked_like_frame_vectors(monkeypatch):
@@ -372,7 +376,6 @@ def test_filter_impulse_and_spectrum_are_both_checked():
     lopsided = ReconFilter(impulse=np.zeros(8, dtype=complex), spectrum=ideal_lowpass(m).spectrum)
     for call in (
         lambda: analytic_mse(lopsided, m, 1.0),
-        lambda: spectral_mse(lopsided, m, 1.0),
         lambda: is_perfect(lopsided, m),
         lambda: reconstruct(np.zeros(4), lopsided, m),
     ):

@@ -7,7 +7,6 @@ from framekit import ParseError
 from framekit.serialization import (
     _matrix_fields,
     dumps_report,
-    format_float,
     load_json,
     load_matrix,
     load_vector,
@@ -52,13 +51,13 @@ def test_format_complex_round_trip():
 
 
 def test_format_float_17g_and_negative_zero():
-    assert format_float(0.1) == "0.10000000000000001"
-    assert format_float(-0.0) == "0"
-    assert format_float(1.5) == "1.5"
+    assert dumps_report(0.1) == "0.10000000000000001"
+    assert dumps_report(-0.0) == "0"
+    assert dumps_report(1.5) == "1.5"
     with pytest.raises(ParseError):
-        format_float(float("nan"))
+        dumps_report(float("nan"))
     with pytest.raises(ParseError):
-        format_float(float("inf"))
+        dumps_report(float("inf"))
 
 
 # ---------------------------------------------------------------- matrices
