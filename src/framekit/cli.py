@@ -7,6 +7,7 @@ so callers can parse failures.
 """
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -377,7 +378,15 @@ def run(argv=None):
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early; send the rest of the output to
+        # devnull so the interpreter's final flush does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

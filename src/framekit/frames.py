@@ -11,8 +11,12 @@ Conventions used throughout:
   eigenvalues.  A set of vectors spans iff lambda_min exceeds the frame
   threshold 1e-10 * lambda_max, which is relative, so rescaling the vectors
   never changes the answer.
-* Each Frame decomposes S once, on first use, and every operation below reads
-  that spectrum; the analysis matrix is read-only so it cannot go stale.
+* Each Frame decomposes S once, on first use, into Hermitian blocks, one per
+  residue class of the coordinates modulo the block count (one block for a
+  dense frame, the K Walnut blocks for a Gabor system with K | M).  Every
+  operation below reads that spectrum and applies S^{-1} or S^{-1/2} one
+  block at a time, from block powers built at most once per frame; the
+  analysis matrix is read-only so none of this can go stale.
 """
 
 from dataclasses import dataclass
@@ -30,6 +34,10 @@ from .hermitian import jacobi_eigh
 
 FRAME_RTOL = 1e-10
 GS_DROP_TOL = 1e-8
+# Complex entries (128 KiB) per temporary of the blockwise operations: the
+# allocator hands buffers this small back already mapped, while a full-size
+# temporary pays a page fault per 4 KiB on every call.
+CHUNK_ENTRIES = 2**13
 
 
 def _as_complex_matrix(obj, name="matrix", shape=None):
@@ -75,20 +83,34 @@ class Frame:
     analysis: np.ndarray
 
     def __post_init__(self):
-        arr = _as_complex_matrix(self.analysis, "analysis")
+        self._hold(_as_complex_matrix(self.analysis, "analysis"))
+
+    @classmethod
+    def _adopt(cls, arr):
+        """The frame of arr without the copy and checks of Frame(arr), for a
+        finite complex matrix computed here that no caller holds."""
+        frame = object.__new__(cls)
+        frame._hold(arr)
+        return frame
+
+    def _hold(self, arr):
         arr.flags.writeable = False
         object.__setattr__(self, "analysis", arr)
         object.__setattr__(self, "_solver", None)
         object.__setattr__(self, "_spectrum", None)
+        object.__setattr__(self, "_inverse_blocks", {})
 
     def spectrum(self):
-        """(w, v) of the frame operator: ascending eigenvalues and a unitary
-        matrix of eigenvectors, read-only, computed on first use."""
+        """The frame operator's Spectrum, read-only, computed on first use."""
         if self._spectrum is None:
-            w, v = self._solver() if self._solver else jacobi_eigh(frame_operator(self))
-            w.flags.writeable = False
-            v.flags.writeable = False
-            object.__setattr__(self, "_spectrum", (w, v))
+            if self._solver:
+                spec = self._solver()
+            else:
+                w, v = jacobi_eigh(frame_operator(self))
+                spec = Spectrum(w[None], v[None])
+            for arr in (spec.w, spec.u):
+                arr.flags.writeable = False
+            object.__setattr__(self, "_spectrum", spec)
         return self._spectrum
 
     @classmethod
@@ -113,6 +135,27 @@ class Frame:
     def synthesis(self):
         """N x K synthesis matrix T^H; column k is g_k."""
         return self.analysis.conj().T
+
+
+@dataclass(frozen=True)
+class Spectrum:
+    """The frame operator as B Hermitian blocks over the residue classes of
+    the coordinates modulo B.
+
+    Block b acts on the coordinates index[b] = b, b + B, b + 2B, ... and
+    equals u[b] @ diag(w[b]) @ u[b]^H; its eigenvalues w[b] ascend.  A dense
+    frame is one block (index arange(N)); a Gabor system with K | M has its
+    K Walnut blocks.  Shapes: w (B, n), u (B, n, n), index (B, n), B n = N.
+    """
+
+    w: np.ndarray
+    u: np.ndarray
+
+    @property
+    def index(self):
+        """index[b, j] = b + j B, the coordinate of row j of block b."""
+        b, n = self.w.shape
+        return np.arange(b)[:, None] + b * np.arange(n)
 
 
 @dataclass(frozen=True)
@@ -165,7 +208,8 @@ def frame_threshold(upper):
 def analyze(frame, signal):
     """Coefficients <f, g_k> for all k."""
     f = _as_complex_vector(signal, frame.dim, "signal")
-    return frame.analysis @ f
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _checked_operator(frame.analysis @ f, nonzero=False, name="analysis coefficients")
 
 
 def _checked_operator(s, nonzero=True, name="frame operator"):
@@ -199,42 +243,75 @@ def _with_solver(frame, solver):
     object.__setattr__(frame, "_solver", solver)
 
 
-def _spanning_spectrum(frame):
-    w, v = frame.spectrum()
-    if w[0] <= frame_threshold(w[-1]):
-        raise NotAFrameError(
-            "vectors do not span: lambda_min %.3e vs threshold %.3e"
-            % (w[0], frame_threshold(w[-1]))
-        )
-    return w, v
-
-
 def frame_bounds(frame):
     """Tightest (A, B): extreme eigenvalues of the frame operator.
 
     A is clamped at 0, so nonspanning sets report a lower bound of exactly 0
     up to eigensolver tolerance.
     """
-    w, _ = frame.spectrum()
-    return FrameBounds(lower=float(max(w[0], 0.0)), upper=float(max(w[-1], 0.0)))
+    w = frame.spectrum().w
+    return FrameBounds(lower=float(max(w.min(), 0.0)), upper=float(max(w.max(), 0.0)))
 
 
-def _inverse_operator(frame, root=False):
-    """S^{-1} (or S^{-1/2} with root=True) of a spanning frame."""
-    w, v = _spanning_spectrum(frame)
-    with np.errstate(over="ignore", invalid="ignore"):
-        inverse = (v * (1.0 / (np.sqrt(w) if root else w))) @ v.conj().T
-    return _checked_operator(inverse, name="inverse frame operator")
+def _inverse_power(frame, root):
+    """Blocks u w^{-1} u^H of S^{-1} (w^{-1/2} for S^{-1/2} with root=True)
+    on the blocks of the frame's spectrum: read-only, built once per frame.
+
+    NotAFrameError unless the frame spans; NumericOverflowError when an
+    entry leaves float64's range."""
+    power = frame._inverse_blocks.get(root)
+    if power is None:
+        spec = frame.spectrum()
+        low, high = spec.w.min(), spec.w.max()
+        if low <= frame_threshold(high):
+            raise NotAFrameError(
+                "vectors do not span: lambda_min %.3e vs threshold %.3e"
+                % (low, frame_threshold(high))
+            )
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = spec.u * (1.0 / (np.sqrt(spec.w) if root else spec.w))[:, None, :]
+            power = scaled @ np.swapaxes(spec.u.conj(), -1, -2)
+        power = _checked_operator(power, name="inverse frame operator")
+        power.flags.writeable = False
+        frame._inverse_blocks[root] = power
+    return power
+
+
+def _apply_inverse(frame, x, root=False, left=False):
+    """x S^{-1} for a matrix x of N columns (x S^{-1/2} with root=True), or
+    S^{-1} x for x of N rows with left=True.
+
+    Block b acts on the coordinates b + jB, a strided view of x, so no
+    N x N operator is formed.  One block is the plain dense product.  From
+    the right, several blocks go through BLAS a few rows of x at a time,
+    packed so that each block's columns are contiguous; from the left (a
+    prototype, or T^H) the batched product runs on the views as they are."""
+    power = _inverse_power(frame, root)
+    b, n = power.shape[:2]
+    out = np.empty(x.shape, dtype=np.complex128)
+    if left:
+        xb, ob = (a.reshape(n, b, -1).swapaxes(0, 1) for a in (x, out))
+        np.matmul(power, xb, out=ob)
+    else:
+        xb, ob = (a.reshape(-1, n, b).transpose(2, 0, 1) for a in (x, out))
+        if b == 1:
+            np.matmul(xb, power, out=ob)
+        else:
+            step = max(1, CHUNK_ENTRIES // x.shape[1])
+            for start in range(0, x.shape[0], step):
+                rows = slice(start, start + step)
+                ob[:, rows] = np.ascontiguousarray(xb[:, rows]) @ power
+    return out
 
 
 def canonical_dual(frame):
     """The frame S^{-1} g_k; its analysis matrix is T S^{-1}."""
-    return Frame(frame.analysis @ _inverse_operator(frame))
+    return Frame._adopt(_apply_inverse(frame, frame.analysis))
 
 
 def pseudo_inverse(frame):
     """Moore-Penrose left inverse (S^{-1} T^H) of the analysis matrix."""
-    return _inverse_operator(frame) @ frame.analysis.conj().T
+    return _apply_inverse(frame, frame.analysis.conj().T, left=True)
 
 
 def left_inverse(frame, free_param=None):
@@ -265,7 +342,7 @@ def is_left_inverse(frame, matrix, tol=FRAME_RTOL):
 
 def range_projection(frame):
     """Orthogonal projection T S^{-1} T^H of C^K onto the range of T."""
-    p = frame.analysis @ _inverse_operator(frame) @ frame.analysis.conj().T
+    p = _apply_inverse(frame, frame.analysis) @ frame.analysis.conj().T
     return (p + p.conj().T) / 2.0
 
 
@@ -278,7 +355,7 @@ def reconstruct(frame, dual, coeffs):
 
 def tighten(frame):
     """Canonical tight frame S^{-1/2} g_k; its frame operator is I_N."""
-    return Frame(frame.analysis @ _inverse_operator(frame, root=True))
+    return Frame._adopt(_apply_inverse(frame, frame.analysis, root=True))
 
 
 def exactness_profile(frame):

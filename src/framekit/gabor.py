@@ -17,8 +17,9 @@ When K | M the frame operator is also sparse: summing the K modulations gives
 so S splits into K independent (M/K) x (M/K) Walnut blocks
 B_r[j, j'] = S[r + jK, r + j'K] (Strohmer, "Numerical algorithms for discrete
 Gabor expansions", 1998).  Frames built here with K | M decompose S through
-those blocks in one stacked Jacobi solve instead of solving the dense M x M
-operator; K that do not divide M keep the dense solve.
+those blocks in one stacked Jacobi solve and keep the blocks as their
+spectrum, so S^{-1} and S^{-1/2} are applied one block at a time and no M x M
+matrix is formed; K that do not divide M keep the dense solve.
 
 A built system is shared: while a caller holds the frame of a prototype and
 params, build_gabor_frame (and so gabor_dual_prototype) returns that frame and
@@ -33,12 +34,14 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ParseError, SizeLimitError
 from .frames import (
+    CHUNK_ENTRIES,
     FRAME_RTOL,
     Frame,
+    Spectrum,
+    _apply_inverse,
     _as_complex_vector,
     _check_frame_shape,
     _checked_operator,
-    _inverse_operator,
     _with_solver,
 )
 from .hermitian import jacobi_eigh
@@ -109,20 +112,26 @@ def weyl_matrix(k, l, params):
     return mat
 
 
-def _system_vectors(g, params):
-    """All weyl_shift(g, k, l) as rows, k outer, l inner."""
+def _translates_and_phases(g, params):
+    """The L x M translates of g and the K x M modulations; row (k, l) of
+    the system is translates[l] * phases[k]."""
     n = np.arange(params.length)
     shifts = params.shift * np.arange(params.steps)
     translates = g[(n[None, :] - shifts[:, None]) % params.length]
-    phases = _modulations(np.arange(params.mods)[:, None], params)
+    return translates, _modulations(np.arange(params.mods)[:, None], params)
+
+
+def _system_vectors(g, params):
+    """All weyl_shift(g, k, l) as rows, k outer, l inner."""
+    translates, phases = _translates_and_phases(g, params)
     return (translates[None, :, :] * phases[:, None, :]).reshape(-1, params.length)
 
 
 def _walnut_spectrum(g, params):
-    """(w, v) of the frame operator from its K Walnut blocks (needs K | M).
+    """The Spectrum of the frame operator as its K Walnut blocks (needs K | M).
 
-    The blocks are solved in one stacked jacobi_eigh call; each block's
-    eigenvectors are scattered back onto the residue class r + jK.
+    Block r acts on the residue class r + jK; the blocks are solved in one
+    stacked jacobi_eigh call.
     """
     m, k = params.length, params.mods
     size = m // k
@@ -130,13 +139,7 @@ def _walnut_spectrum(g, params):
     cols = g[(n - params.shift * np.arange(params.steps)[None, None, :]) % m]
     with np.errstate(over="ignore", invalid="ignore"):
         blocks = _checked_operator(k * (cols @ np.conj(np.swapaxes(cols, -1, -2))), g.any())
-    w, u = jacobi_eigh(blocks)
-    # v[j*K + r, r*size + i] = u[r, j, i]
-    v = np.zeros((size, k, k, size), dtype=np.complex128)
-    r = np.arange(k)
-    v[:, r, r, :] = np.swapaxes(u, 0, 1)
-    order = np.argsort(w.reshape(-1), kind="stable")
-    return w.reshape(-1)[order], v.reshape(m, m)[:, order]
+    return Spectrum(*jacobi_eigh(blocks))
 
 
 def build_gabor_frame(proto, params):
@@ -155,7 +158,8 @@ def build_gabor_frame(proto, params):
 
 
 def _build(g, params):
-    frame = Frame(np.conj(_system_vectors(g, params)))
+    vectors = _system_vectors(g, params)
+    frame = Frame._adopt(np.conj(vectors, out=vectors))
     if params.length % params.mods == 0:
         _with_solver(frame, partial(_walnut_spectrum, g, params))
     return frame
@@ -170,7 +174,7 @@ def gabor_dual_prototype(proto, params):
     is reused.
     """
     g = _as_complex_vector(proto, params.length, "prototype")
-    return _inverse_operator(build_gabor_frame(g, params)) @ g
+    return _apply_inverse(build_gabor_frame(g, params), g[:, None], left=True)[:, 0]
 
 
 def verify_wh_structure(dual_frame, proto, params):
@@ -183,7 +187,16 @@ def verify_wh_structure(dual_frame, proto, params):
     g = _as_complex_vector(proto, params.length, "prototype")
     _check_frame_shape(dual_frame, (params.count, params.length), "frame")
     tol = FRAME_RTOL * np.abs(g).max()
-    return bool(np.all(np.abs(dual_frame.vectors - _system_vectors(g, params)) <= tol))
+    translates, phases = _translates_and_phases(g, params)
+    rows = dual_frame.analysis.reshape(params.mods, params.steps, params.length)
+    # a few modulations at a time, so no K*L x M temporary is formed; the
+    # analysis rows stand in for the vectors since |conj(a) - b| = |a - conj(b)|
+    step = max(1, CHUNK_ENTRIES // translates.size)
+    for k in range(0, params.mods, step):
+        want = np.conj(translates * phases[k : k + step, None, :])
+        if not np.all(np.abs(want - rows[k : k + step]) <= tol):
+            return False
+    return True
 
 
 def named_prototype(name, length):

@@ -301,7 +301,13 @@ def monte_carlo_mse(x, filt, model, sigma2, trials, seed):
             recon = reconstruct(y + noise, filt, model)
             per_trial[t] = np.mean(np.abs(x - recon) ** 2)
         estimate = float(np.mean(per_trial))
-        stderr = float(np.std(per_trial, ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
+        stderr = 0.0
+        if trials > 1:
+            # std of per_trial / 2^e, scaled back: exact, and the squared
+            # deviations stay representable when per_trial nears float64's limit
+            e = np.frexp(per_trial.max())[1]
+            spread = np.ldexp(np.std(np.ldexp(per_trial, -e), ddof=1), e)
+            stderr = float(spread / np.sqrt(trials))
         analytic = analytic_mse(filt, model, sigma2)[0]
     if not np.isfinite([estimate, stderr, analytic]).all():
         raise NumericOverflowError("Monte Carlo MSE overflows: sigma2 too large for float64")

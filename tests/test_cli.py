@@ -85,6 +85,16 @@ def test_frame_analyze(tmp_path, capsys):
     assert np.allclose(coeffs, [1.0, -0.5, -0.5], atol=1e-14)
 
 
+def test_frame_analyze_overflow_reports_overflow(tmp_path, capsys):
+    fpath = tmp_path / "huge.csv"
+    fpath.write_text("0,1e308\n1e308,0\n1e308,1e308\n")
+    spath = write_matrix(tmp_path / "f.json", [[1.0, 2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "frame-analyze", "--input", str(fpath), "--signal", spath)
+    assert (code, err, json.loads(out)["error"]) == (1, "", "overflow")
+
+
 # ------------------------------------------------------------------- duals
 
 
@@ -449,7 +459,7 @@ def test_sample_config_rejections_keep_their_codes(tmp_path, capsys):
 def test_huge_sigma2_reports_overflow(capsys):
     argvs = (
         ["sample-mse", "--n", "8", "--band", "1", "--period", "2", "--sigma2", "1e308", "--trials", "3"],
-        ["sample-sweep", "--n", "8", "--band", "1", "--periods", "2,1", "--sigma2", "1e300", "--trials", "3"],
+        ["sample-sweep", "--n", "8", "--band", "1", "--periods", "2,1", "--sigma2", "1e308", "--trials", "3"],
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -463,6 +473,40 @@ def test_huge_sigma2_reports_overflow(capsys):
             capture_output=True, text=True, env=env, timeout=60,
         )
         assert (proc.returncode, proc.stderr, json.loads(proc.stdout)["error"]) == (1, "", "overflow"), argv
+
+
+def test_large_sigma2_keeps_a_finite_standard_error(capsys):
+    # the per-trial MSEs are near sigma2; their squared deviations are not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sigma2 in ("1e160", "1e300"):
+            report = out_json(
+                capsys, "sample-mse", "--n", "8", "--band", "1", "--period", "2",
+                "--trials", "3", "--sigma2", sigma2,
+            )
+            assert np.isfinite([report["mc_mse"], report["stderr"]]).all()
+            assert report["stderr"] / report["mc_mse"] == pytest.approx(0.20314177621236559 / 0.81395940768240183)
+
+
+def test_standard_error_digits_are_unchanged(capsys):
+    # bytes printed before the standard error was taken at a power-of-two scale
+    code, out, _ = run_cli(capsys, "sample-mse", "--n", "8", "--band", "1", "--period", "2", "--trials", "3")
+    assert code == 0
+    assert out == (
+        '{"n": 8, "band": 1, "period": 2, "oversampling_factor": 1.3333333333333333, "sigma2": 1, '
+        '"trials": 3, "seed": 0, "filter": "ideal", "analytic_mse": 0.75, "mc_mse": 0.81395940768240183, '
+        '"stderr": 0.20314177621236559, "inband_mse": 0.75, "outband_mse": 0}\n'
+    )
+    code, out, _ = run_cli(
+        capsys, "sample-sweep", "--n", "32", "--band", "2", "--periods", "4,2,1", "--trials", "50", "--seed", "3"
+    )
+    assert code == 0
+    assert out == (
+        "oversampling_factor,analytic_mse,mc_mse,stderr\n"
+        "1.6000000000000001,0.625,0.63088645357397322,0.03819920018020543\n"
+        "3.2000000000000002,0.3125,0.29953169003356067,0.016678593061276267\n"
+        "6.4000000000000004,0.15625,0.14445249624873782,0.0074444119203016844\n"
+    )
 
 
 UNTRUSTED_INPUTS = (
@@ -523,6 +567,24 @@ def test_output_into_missing_directory_is_a_file_error(tmp_path, capsys):
     assert code == 1 and err == ""
     assert json.loads(out)["error"] == "file_not_found"
     assert not dest.parent.exists()
+
+
+def test_closed_stdout_ends_without_a_traceback():
+    # a 1024 x 32 report is far larger than a pipe buffer, so the write
+    # is still in progress when the reader goes away
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(framekit.__file__)))
+    argv = ["gabor-build", "--proto", "gaussian", "--n", "32", "--shift", "1", "--mods", "32"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "framekit.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.read(16).startswith(b'{"rows": 1024')
+    proc.stdout.close()
+    code = proc.wait(timeout=60)
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert code == 1
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err, err
 
 
 def test_csv_format_for_matrix_reports(tmp_path, capsys):

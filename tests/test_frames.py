@@ -1,5 +1,6 @@
 """Frame operations: worked small examples plus randomized invariants."""
 
+import dataclasses
 import re
 import warnings
 
@@ -551,15 +552,21 @@ def test_one_solve_serves_every_operation(monkeypatch):
 
 def test_spectrum_matches_eigh_and_is_read_only():
     f = random_frame(np.random.default_rng(223), dim=5, count=9)
-    w, v = f.spectrum()
+    spec = f.spectrum()
+    # a dense frame is one block over every coordinate
+    assert spec.w.shape == (1, 5) and spec.u.shape == (1, 5, 5)
+    assert np.array_equal(spec.index, np.arange(5)[None])
+    w, v = spec.w[0], spec.u[0]
     s = frame_operator(f)
     assert np.allclose(w, np.linalg.eigvalsh(s), rtol=0, atol=1e-13 * np.linalg.norm(s))
     assert np.allclose((v * w) @ v.conj().T, s, atol=1e-12 * np.linalg.norm(s))
-    assert f.spectrum()[0] is w
+    assert f.spectrum() is spec
     with pytest.raises(ValueError):
-        w[0] = 0.0
+        spec.w[0, 0] = 0.0
     with pytest.raises(ValueError):
-        v[0, 0] = 0.0
+        spec.u[0, 0, 0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.w = np.zeros((1, 5))
 
 
 def test_frame_operator_overflow_is_typed_and_silent():

@@ -4,6 +4,7 @@ The exact composition/adjoint/commutation identities hold when the modulation
 count divides the signal length, so those tests draw configs with mods | length.
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -17,8 +18,13 @@ from framekit import (
     ParseError,
     SizeLimitError,
     canonical_dual,
+    exactness_profile,
     frame_bounds,
     frame_operator,
+    left_inverse,
+    pseudo_inverse,
+    range_projection,
+    tighten,
 )
 from framekit.gabor import (
     MAX_GABOR_ENTRIES,
@@ -343,6 +349,16 @@ def test_build_is_bit_identical_to_weyl_shifts():
         assert np.array_equal(build_gabor_frame(g, p).analysis, np.array(rows))
 
 
+def block_operator(spec):
+    """The dense N x N operator that a Spectrum's blocks describe."""
+    index = spec.index
+    s = np.zeros((index.size, index.size), dtype=complex)
+    s[index[:, :, None], index[:, None, :]] = (spec.u * spec.w[:, None, :]) @ np.conj(
+        np.swapaxes(spec.u, -1, -2)
+    )
+    return s
+
+
 def test_walnut_spectrum_matches_dense_path():
     rng = np.random.default_rng(109)
     for p in WALNUT_CONFIGS:
@@ -351,9 +367,13 @@ def test_walnut_spectrum_matches_dense_path():
         dense = Frame(walnut.analysis)  # same vectors, generic M x M solve
         s = frame_operator(dense)
         scale = np.linalg.norm(s)
-        w, v = walnut.spectrum()
-        assert np.max(np.abs(w - np.linalg.eigvalsh(s))) <= 1e-13 * scale
-        assert np.linalg.norm((v * w) @ v.conj().T - s) <= 1e-12 * scale
+        spec = walnut.spectrum()
+        size = p.length // p.mods
+        # block r is the residue class r + jK, as jacobi_eigh returned it
+        assert spec.w.shape == (p.mods, size) and spec.u.shape == (p.mods, size, size)
+        assert np.array_equal(spec.index, np.arange(p.mods)[:, None] + p.mods * np.arange(size))
+        assert np.max(np.abs(np.sort(spec.w, axis=None) - np.linalg.eigvalsh(s))) <= 1e-13 * scale
+        assert np.linalg.norm(block_operator(spec) - s) <= 1e-12 * scale
         wb, db = frame_bounds(walnut), frame_bounds(dense)
         assert abs(wb.lower - db.lower) <= 1e-13 * scale
         assert abs(wb.upper - db.upper) <= 1e-13 * scale
@@ -368,6 +388,56 @@ def test_walnut_spectrum_matches_dense_path():
         want = canonical_dual(dense).vectors[0]
         assert np.max(np.abs(gd - want)) <= 1e-12 * cond * np.max(np.abs(want))
         assert np.allclose(gd, np.linalg.solve(s, g), rtol=0, atol=1e-12 * cond * np.max(np.abs(want)))
+
+
+def test_walnut_block_record_is_read_only():
+    rng = np.random.default_rng(139)
+    system = build_gabor_frame(random_proto(rng, 12), GaborParams(length=12, shift=2, mods=4))
+    spec = system.spectrum()
+    with pytest.raises(ValueError):
+        spec.w[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        spec.u[0, 0, 0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.u = np.zeros_like(spec.u)
+    # frames computed from it are as read-only as Frame(rows) itself
+    for frame in (system, canonical_dual(system), tighten(system)):
+        with pytest.raises(ValueError):
+            frame.analysis[0, 0] = 0.0
+
+
+def test_block_operators_match_the_dense_oracle():
+    rng = np.random.default_rng(149)
+    spanning = 0
+    for p in WALNUT_CONFIGS:
+        g = random_proto(rng, p.length)
+        walnut = build_gabor_frame(g, p)
+        dense = Frame(walnut.analysis)  # same vectors, one M x M block
+        ops = (canonical_dual, pseudo_inverse, left_inverse, range_projection, tighten, exactness_profile)
+        bounds = frame_bounds(dense)
+        if not bounds.spans():
+            for op in ops:
+                with pytest.raises(NotAFrameError):
+                    op(walnut)
+            with pytest.raises(NotAFrameError):
+                gabor_dual_prototype(g, p)
+            continue
+        spanning += 1
+        cond = bounds.upper / bounds.lower
+
+        def check(got, want):
+            assert np.max(np.abs(got - want)) <= 1e-12 * cond * np.max(np.abs(want)), p
+
+        check(canonical_dual(walnut).analysis, canonical_dual(dense).analysis)
+        check(pseudo_inverse(walnut), pseudo_inverse(dense))
+        check(left_inverse(walnut).matrix, left_inverse(dense).matrix)
+        check(range_projection(walnut), range_projection(dense))
+        check(tighten(walnut).analysis, tighten(dense).analysis)
+        profile, want = exactness_profile(walnut), exactness_profile(dense)
+        check(profile.diagonal, want.diagonal)
+        assert profile.classification == want.classification
+        check(gabor_dual_prototype(g, p), canonical_dual(dense).vectors[0])
+    assert spanning >= len(WALNUT_CONFIGS) // 2
 
 
 def test_walnut_path_rejects_the_delta_window():
@@ -418,6 +488,49 @@ def test_gabor_check_solves_no_dense_operator(monkeypatch, capsys):
     # one stacked solve of the 12 Walnut blocks; gabor_dual_prototype reads
     # the spectrum of the live system
     assert shapes == [(12, 4, 4)]
+
+
+def test_chunked_block_paths_match_the_dense_oracle():
+    from framekit.frames import CHUNK_ENTRIES
+
+    rng = np.random.default_rng(151)
+    p = GaborParams(length=64, shift=2, mods=32)
+    g = random_proto(rng, 64)
+    system = build_gabor_frame(g, p)
+    # 1024 x 64: the blockwise products and the structure check each take
+    # several chunks
+    assert system.analysis.size >= 4 * CHUNK_ENTRIES
+    dense = Frame(system.analysis)
+    bounds = frame_bounds(dense)
+    cond = bounds.upper / bounds.lower
+    for op in (canonical_dual, tighten):
+        got, want = op(system).analysis, op(dense).analysis
+        assert np.max(np.abs(got - want)) <= 1e-12 * cond * np.max(np.abs(want))
+    dual, gd = canonical_dual(system), gabor_dual_prototype(g, p)
+    assert verify_wh_structure(dual, gd, p)
+    off = dual.analysis.copy()
+    off[-1, -1] += 1e-6 * np.max(np.abs(gd))
+    assert not verify_wh_structure(Frame(off), gd, p)
+
+
+def test_gabor_check_forms_the_inverse_blocks_once(monkeypatch, capsys):
+    import framekit.frames
+    from framekit import cli
+
+    checked = framekit.frames._checked_operator
+    formed = []
+
+    def recording(s, *args, **kwargs):
+        if kwargs.get("name") == "inverse frame operator":
+            formed.append(np.shape(s))
+        return checked(s, *args, **kwargs)
+
+    monkeypatch.setattr(framekit.frames, "_checked_operator", recording)
+    argv = ["gabor-check", "--proto", "gaussian", "--n", "48", "--shift", "4", "--mods", "12"]
+    assert cli.run(argv) == 0
+    assert '"wh_structure": true' in capsys.readouterr().out
+    # gabor_dual_prototype and canonical_dual share the 12 blocks of S^{-1}
+    assert formed == [(12, 4, 4)]
 
 
 def test_dual_prototype_reuses_the_live_system(monkeypatch):
