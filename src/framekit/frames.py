@@ -250,7 +250,8 @@ def frame_bounds(frame):
     up to eigensolver tolerance.
     """
     w = frame.spectrum().w
-    return FrameBounds(lower=float(max(w.min(), 0.0)), upper=float(max(w.max(), 0.0)))
+    # max(-0.0, 0.0) is -0.0; adding +0.0 folds it into +0.0
+    return FrameBounds(lower=float(max(w.min(), 0.0)) + 0.0, upper=float(max(w.max(), 0.0)) + 0.0)
 
 
 def _inverse_power(frame, root):

@@ -16,16 +16,21 @@ When K | M the frame operator is also sparse: summing the K modulations gives
 
 so S splits into K independent (M/K) x (M/K) Walnut blocks
 B_r[j, j'] = S[r + jK, r + j'K] (Strohmer, "Numerical algorithms for discrete
-Gabor expansions", 1998).  Frames built here with K | M decompose S through
-those blocks in one stacked Jacobi solve and keep the blocks as their
-spectrum, so S^{-1} and S^{-1/2} are applied one block at a time and no M x M
-matrix is formed; K that do not divide M keep the dense solve.
+Gabor expansions", 1998).  S also commutes with the translations by T, so
+each Walnut block is block-circulant with p x p blocks, p = T / gcd(T, K), and
+a unitary DFT of length q = (M/K) / p block-diagonalises it (the Zak-domain
+picture of Zibulski and Zeevi).  Frames built here with K | M decompose S
+through those K q blocks of p x p in one stacked Jacobi solve and keep the
+Walnut blocks as their spectrum, so S^{-1} and S^{-1/2} are applied one block
+at a time and no M x M matrix is formed; K that do not divide M keep the
+dense solve.
 
 A built system is shared: while a caller holds the frame of a prototype and
 params, build_gabor_frame (and so gabor_dual_prototype) returns that frame and
 reads its spectrum instead of building and solving again.
 """
 
+import math
 import weakref
 from dataclasses import dataclass
 from functools import partial
@@ -130,16 +135,31 @@ def _system_vectors(g, params):
 def _walnut_spectrum(g, params):
     """The Spectrum of the frame operator as its K Walnut blocks (needs K | M).
 
-    Block r acts on the residue class r + jK; the blocks are solved in one
-    stacked jacobi_eigh call.
+    Block r acts on the residue class r + jK.  Moving j by p = T / gcd(T, K)
+    moves the coordinates by a multiple of T, a shift of the system, so each
+    block is block-circulant with q = (M/K) / p blocks of p x p.  The unitary
+    length-q DFT F along those blocks turns it into q independent p x p
+    blocks, all K q of them solved in one stacked jacobi_eigh call; block r
+    keeps the eigenvectors (F kron I_p) blockdiag(v), eigenvalues ascending.
     """
-    m, k = params.length, params.mods
+    m, k, t = params.length, params.mods, params.shift
     size = m // k
+    p = t // math.gcd(t, k)
+    q = size // p
     n = np.arange(k)[:, None, None] + k * np.arange(size)[None, :, None]
-    cols = g[(n - params.shift * np.arange(params.steps)[None, None, :]) % m]
+    cols = g[(n - t * np.arange(params.steps)[None, None, :]) % m]
+    # the DFT unscaled, so its 1/q is one division of the blocks
+    f = np.exp(2j * np.pi * (np.outer(np.arange(q), np.arange(q)) % q) / q)
     with np.errstate(over="ignore", invalid="ignore"):
-        blocks = _checked_operator(k * (cols @ np.conj(np.swapaxes(cols, -1, -2))), g.any())
-    return Spectrum(*jacobi_eigh(blocks))
+        y = (np.conj(f) @ cols.reshape(k, q, -1)).reshape(k, q, p, -1)
+        blocks = _checked_operator(k * (y @ np.conj(np.swapaxes(y, -1, -2))) / q, g.any())
+    w, v = jacobi_eigh(blocks)
+    w = w.reshape(k, size)
+    # u[r, (a, s), (b, s')] = f[a, b] v[r, b, s, s'] / sqrt(q)
+    u = (f / math.sqrt(q))[:, None, :, None] * np.swapaxes(v, 1, 2)[:, None]
+    u = u.reshape(k, size, size)
+    order = np.argsort(w, axis=-1, kind="stable")
+    return Spectrum(np.take_along_axis(w, order, -1), np.take_along_axis(u, order[:, None, :], -1))
 
 
 def build_gabor_frame(proto, params):

@@ -5,6 +5,7 @@ count divides the signal length, so those tests draw configs with mods | length.
 """
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -21,6 +22,7 @@ from framekit import (
     exactness_profile,
     frame_bounds,
     frame_operator,
+    jacobi_eigh,
     left_inverse,
     pseudo_inverse,
     range_projection,
@@ -174,6 +176,14 @@ def test_undersampled_cannot_span():
     p = GaborParams(length=4, shift=2, mods=1)
     b = frame_bounds(build_gabor_frame([1.0, 2.0, 3.0, 4.0], p))
     assert not b.spans()
+
+
+def test_undersampled_lower_bound_is_positive_zero():
+    # the solver returns -0.0 as the smallest eigenvalue of this system; the
+    # clamp at 0 must not keep its sign
+    p = GaborParams(length=4, shift=2, mods=1)
+    lower = frame_bounds(build_gabor_frame(named_prototype("gaussian", 4), p)).lower
+    assert lower == 0.0 and math.copysign(1.0, lower) == 1.0
 
 
 def test_duplicated_vectors_break_spanning():
@@ -339,6 +349,31 @@ WALNUT_CONFIGS = DIVISIBLE_CONFIGS + [
     GaborParams(length=8, shift=1, mods=8),
     GaborParams(length=48, shift=4, mods=12),
 ]
+# Each Walnut block is block-circulant with q blocks of p x p, p = T / gcd(T, K)
+# and q = (M/K) / p.  With (48, 4, 12) (p = 1, q = 4) and (12, 4, 6) (p = 2,
+# q = 1) above, these cover p in {1, 2, 3, 5} with both q > 1 and q = 1.
+WALNUT_CONFIGS += [
+    GaborParams(length=48, shift=6, mods=8),  # p = 3, q = 2
+    GaborParams(length=96, shift=3, mods=32),  # p = 3, q = 1
+    GaborParams(length=60, shift=5, mods=6),  # p = 5, q = 2
+    GaborParams(length=72, shift=8, mods=12),  # p = 2, q = 3
+    GaborParams(length=90, shift=6, mods=9),  # p = 2, q = 5
+]
+
+
+def walnut_blocks(g, p):
+    """The K Walnut blocks B_r[j, j'] = K sum_l g[r + jK - lT] conj(g[r + j'K - lT])
+    formed explicitly, as a (K, M/K, M/K) stack."""
+    size = p.length // p.mods
+    n = np.arange(p.mods)[:, None, None] + p.mods * np.arange(size)[None, :, None]
+    cols = g[(n - p.shift * np.arange(p.steps)[None, None, :]) % p.length]
+    return p.mods * (cols @ np.conj(np.swapaxes(cols, -1, -2)))
+
+
+def zak_shape(p):
+    """(K, q, p, p): the stack the Walnut spectrum of p solves."""
+    block = p.shift // math.gcd(p.shift, p.mods)
+    return (p.mods, p.length // p.mods // block, block, block)
 
 
 def test_build_is_bit_identical_to_weyl_shifts():
@@ -369,8 +404,10 @@ def test_walnut_spectrum_matches_dense_path():
         scale = np.linalg.norm(s)
         spec = walnut.spectrum()
         size = p.length // p.mods
-        # block r is the residue class r + jK, as jacobi_eigh returned it
+        # block r is the residue class r + jK, its eigenvalues ascending
         assert spec.w.shape == (p.mods, size) and spec.u.shape == (p.mods, size, size)
+        assert np.all(np.diff(spec.w, axis=-1) >= 0)
+        assert np.max(np.abs(np.conj(np.swapaxes(spec.u, -1, -2)) @ spec.u - np.eye(size))) <= 1e-13
         assert np.array_equal(spec.index, np.arange(p.mods)[:, None] + p.mods * np.arange(size))
         assert np.max(np.abs(np.sort(spec.w, axis=None) - np.linalg.eigvalsh(s))) <= 1e-13 * scale
         assert np.linalg.norm(block_operator(spec) - s) <= 1e-12 * scale
@@ -481,13 +518,55 @@ def test_mods_not_dividing_length_keep_the_dense_solve(monkeypatch):
 def test_gabor_check_solves_no_dense_operator(monkeypatch, capsys):
     from framekit import cli
 
-    shapes = record_solves(monkeypatch)
-    argv = ["gabor-check", "--proto", "gaussian", "--n", "48", "--shift", "4", "--mods", "12"]
-    assert cli.run(argv) == 0
-    assert '"wh_structure": true' in capsys.readouterr().out
-    # one stacked solve of the 12 Walnut blocks; gabor_dual_prototype reads
-    # the spectrum of the live system
-    assert shapes == [(12, 4, 4)]
+    # one stacked solve per check; gabor_dual_prototype reads the spectrum of
+    # the live system.  (48, 4, 12): the 12 Walnut blocks of 4 x 4 are
+    # circulant (p = 1), so the DFT leaves 12 x 4 blocks of 1 x 1.  (48, 6, 8):
+    # the 8 blocks of 6 x 6 hold q = 2 circulant blocks of p = 3.
+    for shift, mods, want in [("4", "12", (12, 4, 1, 1)), ("6", "8", (8, 2, 3, 3))]:
+        shapes = record_solves(monkeypatch)
+        argv = ["gabor-check", "--proto", "gaussian", "--n", "48", "--shift", shift, "--mods", mods]
+        assert cli.run(argv) == 0
+        assert '"wh_structure": true' in capsys.readouterr().out
+        assert shapes == [want]
+
+
+def test_each_walnut_spectrum_is_one_stacked_p_by_p_solve(monkeypatch):
+    rng = np.random.default_rng(157)
+    for p in WALNUT_CONFIGS:
+        shapes = record_solves(monkeypatch)
+        frame_bounds(build_gabor_frame(random_proto(rng, p.length), p))
+        assert shapes == [zak_shape(p)], p
+
+
+def test_unit_dft_spectrum_is_the_plain_walnut_solve():
+    # q = 1: the DFT is the 1 x 1 identity, so the arithmetic is that of
+    # jacobi_eigh on the Walnut blocks themselves, bit for bit
+    rng = np.random.default_rng(163)
+    configs = [p for p in WALNUT_CONFIGS if zak_shape(p)[1] == 1]
+    assert len(configs) >= 4
+    for p in configs:
+        g = random_proto(rng, p.length)
+        spec = build_gabor_frame(g, p).spectrum()
+        w, v = jacobi_eigh(walnut_blocks(g, p))
+        assert np.array_equal(spec.w, w) and np.array_equal(spec.u, v), p
+
+
+def test_narrow_windows_keep_relative_accuracy():
+    # narrow Gaussians make the Walnut blocks ill-conditioned; the smallest
+    # eigenvalue still matches the solver run on the blocks themselves
+    for length, shift, mods, width, low, high in [
+        (24, 6, 8, 0.59, 1e7, 1e8),  # q = 1
+        (32, 8, 16, 0.72, 5e9, 5e10),  # p = 1, q = 2
+        (72, 8, 12, 0.72, 5e9, 5e10),  # p = 2, q = 3
+        (48, 6, 8, 0.55, 1e8, 1e9),  # p = 3, q = 2
+    ]:
+        p = GaborParams(length=length, shift=shift, mods=mods)
+        x = np.arange(length) - (length - 1) / 2.0
+        g = np.exp(-0.5 * (x / width) ** 2)
+        w = jacobi_eigh(walnut_blocks(g.astype(complex), p))[0]
+        assert low < w.max() / w.min() < high, p
+        spec = build_gabor_frame(g, p).spectrum()
+        assert abs(spec.w.min() - w.min()) <= 1e-13 * w.min(), p
 
 
 def test_chunked_block_paths_match_the_dense_oracle():
@@ -583,7 +662,7 @@ def test_dropped_systems_are_not_retained(monkeypatch):
     assert len(framekit.gabor._live_systems) == 0
     shapes = record_solves(monkeypatch)
     frame_bounds(build_gabor_frame(g, p))
-    assert shapes == [(6, 2, 2)]
+    assert shapes == [(6, 1, 2, 2)]
 
 
 def test_walnut_overflow_is_typed_and_silent():
