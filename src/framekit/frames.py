@@ -16,7 +16,8 @@ Conventions used throughout:
   dense frame, the K Walnut blocks for a Gabor system with K | M).  Every
   operation below reads that spectrum and applies S^{-1} or S^{-1/2} one
   block at a time, from block powers built at most once per frame; the
-  analysis matrix is read-only so none of this can go stale.
+  analysis matrix is read-only so none of this can go stale.  A Gabor system
+  builds its canonical dual and tight frame from S^{-1} g and S^{-1/2} g.
 """
 
 from dataclasses import dataclass
@@ -34,10 +35,6 @@ from .hermitian import jacobi_eigh
 
 FRAME_RTOL = 1e-10
 GS_DROP_TOL = 1e-8
-# Complex entries (128 KiB) per temporary of the blockwise operations: the
-# allocator hands buffers this small back already mapped, while a full-size
-# temporary pays a page fault per 4 KiB on every call.
-CHUNK_ENTRIES = 2**13
 
 
 def _as_complex_matrix(obj, name="matrix", shape=None):
@@ -96,22 +93,26 @@ class Frame:
     def _hold(self, arr):
         arr.flags.writeable = False
         object.__setattr__(self, "analysis", arr)
-        object.__setattr__(self, "_solver", None)
         object.__setattr__(self, "_spectrum", None)
         object.__setattr__(self, "_inverse_blocks", {})
 
     def spectrum(self):
         """The frame operator's Spectrum, read-only, computed on first use."""
         if self._spectrum is None:
-            if self._solver:
-                spec = self._solver()
-            else:
-                w, v = jacobi_eigh(frame_operator(self))
-                spec = Spectrum(w[None], v[None])
+            spec = self._decompose()
             for arr in (spec.w, spec.u):
                 arr.flags.writeable = False
             object.__setattr__(self, "_spectrum", spec)
         return self._spectrum
+
+    def _decompose(self):
+        """S as one block; a Gabor system overrides this and _canonical."""
+        w, v = jacobi_eigh(frame_operator(self))
+        return Spectrum(w[None], v[None])
+
+    def _canonical(self, root):
+        """The frame S^{-1} g_k (S^{-1/2} g_k with root): T S^{-1} (T S^{-1/2})."""
+        return Frame._adopt(self.analysis @ _inverse_power(self, root)[0])
 
     @classmethod
     def from_vectors(cls, vectors):
@@ -234,15 +235,6 @@ def frame_operator(frame):
         return _checked_operator((s + s.conj().T) / 2.0, t.any())
 
 
-def _with_solver(frame, solver):
-    """Let ``solver()`` supply the frame's spectrum instead of the dense solve.
-
-    For frames with structure (Gabor systems) that decompose S faster than
-    jacobi_eigh(S) does; solver must return what Frame.spectrum documents.
-    """
-    object.__setattr__(frame, "_solver", solver)
-
-
 def frame_bounds(frame):
     """Tightest (A, B): extreme eigenvalues of the frame operator.
 
@@ -278,41 +270,27 @@ def _inverse_power(frame, root):
     return power
 
 
-def _apply_inverse(frame, x, root=False, left=False):
-    """x S^{-1} for a matrix x of N columns (x S^{-1/2} with root=True), or
-    S^{-1} x for x of N rows with left=True.
+def _apply_inverse(frame, x, root=False):
+    """S^{-1} x for a matrix x of N rows (S^{-1/2} x with root=True).
 
-    Block b acts on the coordinates b + jB, a strided view of x, so no
-    N x N operator is formed.  One block is the plain dense product.  From
-    the right, several blocks go through BLAS a few rows of x at a time,
-    packed so that each block's columns are contiguous; from the left (a
-    prototype, or T^H) the batched product runs on the views as they are."""
+    Block b acts on the rows b + jB, a strided view of x, so no N x N
+    operator is formed; the batched product runs on the views as they are."""
     power = _inverse_power(frame, root)
     b, n = power.shape[:2]
     out = np.empty(x.shape, dtype=np.complex128)
-    if left:
-        xb, ob = (a.reshape(n, b, -1).swapaxes(0, 1) for a in (x, out))
-        np.matmul(power, xb, out=ob)
-    else:
-        xb, ob = (a.reshape(-1, n, b).transpose(2, 0, 1) for a in (x, out))
-        if b == 1:
-            np.matmul(xb, power, out=ob)
-        else:
-            step = max(1, CHUNK_ENTRIES // x.shape[1])
-            for start in range(0, x.shape[0], step):
-                rows = slice(start, start + step)
-                ob[:, rows] = np.ascontiguousarray(xb[:, rows]) @ power
+    xb, ob = (a.reshape(n, b, -1).swapaxes(0, 1) for a in (x, out))
+    np.matmul(power, xb, out=ob)
     return out
 
 
 def canonical_dual(frame):
     """The frame S^{-1} g_k; its analysis matrix is T S^{-1}."""
-    return Frame._adopt(_apply_inverse(frame, frame.analysis))
+    return frame._canonical(False)
 
 
 def pseudo_inverse(frame):
     """Moore-Penrose left inverse (S^{-1} T^H) of the analysis matrix."""
-    return _apply_inverse(frame, frame.analysis.conj().T, left=True)
+    return _apply_inverse(frame, frame.analysis.conj().T)
 
 
 def left_inverse(frame, free_param=None):
@@ -343,7 +321,7 @@ def is_left_inverse(frame, matrix, tol=FRAME_RTOL):
 
 def range_projection(frame):
     """Orthogonal projection T S^{-1} T^H of C^K onto the range of T."""
-    p = _apply_inverse(frame, frame.analysis) @ frame.analysis.conj().T
+    p = canonical_dual(frame).analysis @ frame.analysis.conj().T
     return (p + p.conj().T) / 2.0
 
 
@@ -356,7 +334,7 @@ def reconstruct(frame, dual, coeffs):
 
 def tighten(frame):
     """Canonical tight frame S^{-1/2} g_k; its frame operator is I_N."""
-    return Frame._adopt(_apply_inverse(frame, frame.analysis, root=True))
+    return frame._canonical(True)
 
 
 def exactness_profile(frame):

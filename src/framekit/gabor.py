@@ -19,11 +19,11 @@ B_r[j, j'] = S[r + jK, r + j'K] (Strohmer, "Numerical algorithms for discrete
 Gabor expansions", 1998).  S also commutes with the translations by T, so
 each Walnut block is block-circulant with p x p blocks, p = T / gcd(T, K), and
 a unitary DFT of length q = (M/K) / p block-diagonalises it (the Zak-domain
-picture of Zibulski and Zeevi).  Frames built here with K | M decompose S
-through those K q blocks of p x p in one stacked Jacobi solve and keep the
-Walnut blocks as their spectrum, so S^{-1} and S^{-1/2} are applied one block
-at a time and no M x M matrix is formed; K that do not divide M keep the
-dense solve.
+picture of Zibulski and Zeevi).  Frames built here with K | M are GaborFrames:
+they solve those K q blocks of p x p in one stacked Jacobi call, keep the
+Walnut blocks as their spectrum and form no M x M matrix; as S commutes with
+every system shift, their canonical dual and tight frame are the systems of
+S^{-1} g and S^{-1/2} g.  K that do not divide M keep the dense frame.
 
 A built system is shared: while a caller holds the frame of a prototype and
 params, build_gabor_frame (and so gabor_dual_prototype) returns that frame and
@@ -33,13 +33,11 @@ reads its spectrum instead of building and solving again.
 import math
 import weakref
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .errors import DimensionMismatchError, ParseError, SizeLimitError
 from .frames import (
-    CHUNK_ENTRIES,
     FRAME_RTOL,
     Frame,
     Spectrum,
@@ -47,7 +45,6 @@ from .frames import (
     _as_complex_vector,
     _check_frame_shape,
     _checked_operator,
-    _with_solver,
 )
 from .hermitian import jacobi_eigh
 
@@ -55,6 +52,9 @@ PROTOTYPE_NAMES = ("delta", "gaussian", "boxcar")
 # Largest of the system's K*L x M analysis matrix and its M x M frame
 # operator, in entries: 2^24 complex entries are 256 MiB.
 MAX_GABOR_ENTRIES = 2**24
+# Complex entries (128 KiB) per temporary of the structure check: buffers this
+# small come back already mapped, a full-size one faults a page per 4 KiB.
+CHUNK_ENTRIES = 2**13
 
 # (prototype bytes, params) -> the live frame built from them.  A frame is
 # safe to share because its analysis matrix is read-only and its spectrum is
@@ -117,23 +117,20 @@ def weyl_matrix(k, l, params):
     return mat
 
 
-def _translates_and_phases(g, params):
-    """The L x M translates of g and the K x M modulations; row (k, l) of
-    the system is translates[l] * phases[k]."""
+def _shift_tables(params):
+    """Read-only L x M translate index, g[index][l, n] = g[n - lT], and K x M
+    phases: row (k, l) of the system is g[index][l] * phases[k].  A GaborFrame
+    keeps them and hands them on to its dual and tight frames."""
     n = np.arange(params.length)
     shifts = params.shift * np.arange(params.steps)
-    translates = g[(n[None, :] - shifts[:, None]) % params.length]
-    return translates, _modulations(np.arange(params.mods)[:, None], params)
+    index = (n[None, :] - shifts[:, None]) % params.length
+    phases = _modulations(np.arange(params.mods)[:, None], params)
+    index.flags.writeable = phases.flags.writeable = False
+    return index, phases
 
 
-def _system_vectors(g, params):
-    """All weyl_shift(g, k, l) as rows, k outer, l inner."""
-    translates, phases = _translates_and_phases(g, params)
-    return (translates[None, :, :] * phases[:, None, :]).reshape(-1, params.length)
-
-
-def _walnut_spectrum(g, params):
-    """The Spectrum of the frame operator as its K Walnut blocks (needs K | M).
+def _walnut_spectrum(g, params, index):
+    """The Spectrum of S as its K Walnut blocks (K | M; index of _shift_tables).
 
     Block r acts on the residue class r + jK.  Moving j by p = T / gcd(T, K)
     moves the coordinates by a multiple of T, a shift of the system, so each
@@ -146,8 +143,8 @@ def _walnut_spectrum(g, params):
     size = m // k
     p = t // math.gcd(t, k)
     q = size // p
-    n = np.arange(k)[:, None, None] + k * np.arange(size)[None, :, None]
-    cols = g[(n - t * np.arange(params.steps)[None, None, :]) % m]
+    # cols[r, j, l] = g[r + jK - lT], the translates on the residue class r
+    cols = g[index.T.reshape(size, k, -1).swapaxes(0, 1)]
     # the DFT unscaled, so its 1/q is one division of the blocks
     f = np.exp(2j * np.pi * (np.outer(np.arange(q), np.arange(q)) % q) / q)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -165,7 +162,7 @@ def _walnut_spectrum(g, params):
 def build_gabor_frame(proto, params):
     """Frame of all K*L translates-modulates of the prototype, k outer.
 
-    With K | M the frame's spectrum comes from its Walnut blocks.  While a
+    With K | M it is a GaborFrame, decomposed by its Walnut blocks.  While a
     frame built from the bit-identical prototype and equal params is alive,
     that same frame is returned.
     """
@@ -177,24 +174,43 @@ def build_gabor_frame(proto, params):
     return frame
 
 
-def _build(g, params):
-    vectors = _system_vectors(g, params)
-    frame = Frame._adopt(np.conj(vectors, out=vectors))
-    if params.length % params.mods == 0:
-        _with_solver(frame, partial(_walnut_spectrum, g, params))
+class GaborFrame(Frame):
+    """The system of ``prototype`` under ``params`` with K | M, built from
+    their ``tables``: its spectrum is the Walnut spectrum, and its canonical
+    dual (tight frame) is the system of the one prototype S^{-1} g (S^{-1/2} g)."""
+
+    def _decompose(self):
+        return _walnut_spectrum(self.prototype, self.params, self.tables[0])
+
+    def _canonical(self, root):
+        return _build(_inverse_window(self, self.prototype, root), self.params, self.tables)
+
+
+def _build(g, params, tables=None):
+    """The system of g, a prototype no caller holds, from the _shift_tables of
+    params: every weyl_shift(g, k, l) as a conjugated row, k outer, l inner."""
+    index, phases = tables = tables or _shift_tables(params)
+    vectors = (g[index][None, :, :] * phases[:, None, :]).reshape(-1, params.length)
+    analysis = np.conj(vectors, out=vectors)
+    if params.length % params.mods:
+        return Frame._adopt(analysis)
+    frame = GaborFrame._adopt(analysis)
+    g.flags.writeable = False
+    vars(frame).update(prototype=g, params=params, tables=tables)  # frozen dataclass
     return frame
 
 
-def gabor_dual_prototype(proto, params):
-    """Dual prototype S^{-1} g of the system's own frame operator.
+def _inverse_window(frame, g, root=False):
+    """S^{-1} g (S^{-1/2} g with root) for the frame operator S of frame."""
+    return _apply_inverse(frame, g[:, None], root)[:, 0]
 
-    When K | M the frame operator commutes with every system shift, so the
-    canonical dual frame is the Weyl-Heisenberg system of this vector.
-    The spectrum of a live system built from the same prototype and params
-    is reused.
-    """
+
+def gabor_dual_prototype(proto, params):
+    """Dual prototype S^{-1} g of the system's own frame operator: with K | M
+    the canonical dual is its Weyl-Heisenberg system.  The spectrum of a live
+    system built from the same prototype and params is reused."""
     g = _as_complex_vector(proto, params.length, "prototype")
-    return _apply_inverse(build_gabor_frame(g, params), g[:, None], left=True)[:, 0]
+    return _inverse_window(build_gabor_frame(g, params), g)
 
 
 def verify_wh_structure(dual_frame, proto, params):
@@ -202,12 +218,14 @@ def verify_wh_structure(dual_frame, proto, params):
 
     Compares vectors in build order (k outer, l inner) within FRAME_RTOL
     times max|proto|, the largest entry of that system (modulations have
-    unit modulus), so rescaling both sides never changes the answer.
-    """
+    unit modulus), so rescaling both sides never changes the answer.  A
+    GaborFrame dual_frame of equal params lends its tables."""
     g = _as_complex_vector(proto, params.length, "prototype")
     _check_frame_shape(dual_frame, (params.count, params.length), "frame")
     tol = FRAME_RTOL * np.abs(g).max()
-    translates, phases = _translates_and_phases(g, params)
+    own = isinstance(dual_frame, GaborFrame) and dual_frame.params == params
+    index, phases = dual_frame.tables if own else _shift_tables(params)
+    translates = g[index]
     rows = dual_frame.analysis.reshape(params.mods, params.steps, params.length)
     # a few modulations at a time, so no K*L x M temporary is formed; the
     # analysis rows stand in for the vectors since |conj(a) - b| = |a - conj(b)|

@@ -115,6 +115,9 @@ def jacobi_eigh(mat):
     exponent = _prescale(a)  # eigenvalues are scaled back at the end
     if not is_hermitian(a):
         raise NotHermitianError("matrix is not conjugate-symmetric")
+    if n == 1:  # nothing to rotate; + 0.0 folds -0.0 as the symmetrization does
+        w = np.ldexp(a[:, 0].real + 0.0, exponent[:, None])
+        return w.reshape(shape[:-1]), np.ones(shape, dtype=np.complex128)
     # exact symmetrization so rotations preserve Hermitian structure to the bit
     a = (a + _conj_t(a)) / 2.0
     target = OFF_TOLERANCE * np.linalg.norm(a, axis=(-2, -1))

@@ -570,14 +570,14 @@ def test_narrow_windows_keep_relative_accuracy():
 
 
 def test_chunked_block_paths_match_the_dense_oracle():
-    from framekit.frames import CHUNK_ENTRIES
+    from framekit.gabor import CHUNK_ENTRIES
 
     rng = np.random.default_rng(151)
     p = GaborParams(length=64, shift=2, mods=32)
     g = random_proto(rng, 64)
     system = build_gabor_frame(g, p)
-    # 1024 x 64: the blockwise products and the structure check each take
-    # several chunks
+    # 1024 x 64: the dual and tight frames come from their prototypes, and
+    # the structure check takes several chunks
     assert system.analysis.size >= 4 * CHUNK_ENTRIES
     dense = Frame(system.analysis)
     bounds = frame_bounds(dense)
@@ -592,6 +592,42 @@ def test_chunked_block_paths_match_the_dense_oracle():
     assert not verify_wh_structure(Frame(off), gd, p)
 
 
+def conjugated_system(g, p):
+    return np.conj(np.array([weyl_shift(g, k, l, p) for k in range(p.mods) for l in range(p.steps)]))
+
+
+def test_gabor_dual_is_the_system_of_its_prototype():
+    rng = np.random.default_rng(167)
+    spanning = 0
+    for p in WALNUT_CONFIGS:
+        g = random_proto(rng, p.length)
+        system = build_gabor_frame(g, p)
+        dense = Frame(system.analysis)
+        bounds = frame_bounds(dense)
+        if not bounds.spans():
+            continue
+        spanning += 1
+        dual = canonical_dual(system)
+        assert np.array_equal(dual.analysis, conjugated_system(gabor_dual_prototype(g, p), p)), p
+        # the tight prototype S^{-1/2} g, from the oracle's dense S^{-1/2}
+        w, v = np.linalg.eigh(frame_operator(dense))
+        root = (v / np.sqrt(w)) @ np.conj(v.T) @ g
+        tight = tighten(system)
+        cond = bounds.upper / bounds.lower
+        err = np.max(np.abs(tight.analysis - conjugated_system(root, p)))
+        assert err <= 1e-12 * cond * np.max(np.abs(tight.analysis)), p
+        # both are Gabor frames of the same params, with Walnut spectra
+        for frame in (dual, tight):
+            assert frame_bounds(frame).spans()
+            assert frame.spectrum().w.shape == (p.mods, p.length // p.mods)
+        check = np.max(np.abs(range_projection(system) - range_projection(dense)))
+        assert check <= 1e-12 * cond, p
+        profile, want = exactness_profile(system), exactness_profile(dense)
+        assert np.max(np.abs(profile.diagonal - want.diagonal)) <= 1e-12 * cond, p
+        assert profile.classification == want.classification
+    assert spanning >= len(WALNUT_CONFIGS) // 2
+
+
 def test_gabor_check_forms_the_inverse_blocks_once(monkeypatch, capsys):
     import framekit.frames
     from framekit import cli
@@ -604,12 +640,22 @@ def test_gabor_check_forms_the_inverse_blocks_once(monkeypatch, capsys):
             formed.append(np.shape(s))
         return checked(s, *args, **kwargs)
 
+    window = framekit.gabor._inverse_window
+    windows = []
+
+    def applying(*args):
+        windows.append(args[2:])
+        return window(*args)
+
     monkeypatch.setattr(framekit.frames, "_checked_operator", recording)
+    monkeypatch.setattr(framekit.gabor, "_inverse_window", applying)
     argv = ["gabor-check", "--proto", "gaussian", "--n", "48", "--shift", "4", "--mods", "12"]
     assert cli.run(argv) == 0
     assert '"wh_structure": true' in capsys.readouterr().out
-    # gabor_dual_prototype and canonical_dual share the 12 blocks of S^{-1}
+    # the 12 blocks of S^{-1} are formed once and applied once, to g, by
+    # canonical_dual; the structure check reads that dual's prototype
     assert formed == [(12, 4, 4)]
+    assert windows == [(False,)]
 
 
 def test_dual_prototype_reuses_the_live_system(monkeypatch):
@@ -675,3 +721,50 @@ def test_walnut_overflow_is_typed_and_silent():
         # the live system is shared: its failed solve is retried, not cached
         with pytest.raises(NumericOverflowError):
             gabor_dual_prototype(np.full(8, 1e200), params)
+
+
+def test_gabor_frames_are_freed_by_reference_counting():
+    import gc
+    import weakref
+
+    import framekit.gabor
+
+    rng = np.random.default_rng(173)
+    p = GaborParams(length=48, shift=4, mods=12)
+    g = random_proto(rng, 48)
+    gc.collect()
+    gc.disable()
+    try:
+        system = build_gabor_frame(g, p)
+        frame_bounds(system)
+        dual, tight = canonical_dual(system), tighten(system)
+        frame_bounds(dual)
+        # the dual and tight frames share the system's tables
+        assert dual.tables is tight.tables is system.tables
+        refs = [weakref.ref(f) for f in (system, dual, tight, *system.tables)]
+        del system, dual, tight
+        # no reference cycle or cache holds them: they go without the collector
+        assert [r() for r in refs] == [None] * 5
+        assert len(framekit.gabor._live_systems) == 0
+    finally:
+        gc.enable()
+
+
+def test_gabor_check_evaluates_the_phases_once(monkeypatch, capsys):
+    import framekit.gabor
+    from framekit import cli
+
+    modulations = framekit.gabor._modulations
+    tables = []
+
+    def recording(k, params):
+        if np.ndim(k) == 2:
+            tables.append(params)
+        return modulations(k, params)
+
+    monkeypatch.setattr(framekit.gabor, "_modulations", recording)
+    argv = ["gabor-check", "--proto", "gaussian", "--n", "48", "--shift", "4", "--mods", "12"]
+    assert cli.run(argv) == 0
+    assert '"wh_structure": true' in capsys.readouterr().out
+    # the build, the dual's build and the structure check share one table
+    assert tables == [GaborParams(length=48, shift=4, mods=12)]

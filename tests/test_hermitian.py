@@ -72,6 +72,34 @@ def test_one_by_one_and_zero():
     assert np.allclose(v @ v.conj().T, np.eye(3))
 
 
+def test_one_by_one_members_skip_the_sweeps(monkeypatch):
+    # a 1 x 1 member has no pair to rotate: its eigenvalue is the real part
+    # of (a + conj(a)) / 2 at a power-of-two scale, scaled back, which is
+    # exact (and folds -0.0 into +0.0), and its eigenvector is 1; no sweep
+    # is started
+    values = np.array([4.0, -3.5, 0.0, -0.0, 5e-324, 1e-300, -1e300, 1.7e308])
+    z = values + 1j * 1e-14 * values  # an imaginary part within HERMITIAN_RTOL
+    # the sweep path's own bits: diag(z, z) is symmetrized and never rotated
+    want = jacobi_eigh(z[:, None, None] * np.eye(2))[0][:, 0]
+
+    def no_sweep(mat):
+        raise AssertionError("a 1 x 1 stack started a sweep")
+
+    monkeypatch.setattr(hermitian, "off_diagonal_mass", no_sweep)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w, v = jacobi_eigh(z.reshape(2, 4, 1, 1))
+    assert w.shape == (2, 4, 1) and w.dtype == np.float64
+    assert np.array_equal(w.reshape(-1), want) and np.array_equal(want, values)
+    assert np.array_equal(np.signbit(w.reshape(-1)), np.signbit(want))
+    assert np.array_equal(np.signbit(want), values < 0)
+    assert v.shape == (2, 4, 1, 1) and v.dtype == np.complex128
+    assert np.array_equal(v, np.ones((2, 4, 1, 1)))
+    for bad in ([[1.0 + 1.0j]], [[1e300j]], [[[2.0]], [[1.0 - 1e-6j]]]):
+        with pytest.raises(NotHermitianError):
+            jacobi_eigh(bad)
+
+
 def test_degenerate_spectrum():
     a = 2.5 * np.eye(4, dtype=complex)
     w, v = jacobi_eigh(a)
