@@ -11,13 +11,12 @@ Conventions used throughout:
   eigenvalues.  A set of vectors spans iff lambda_min exceeds the frame
   threshold 1e-10 * lambda_max, which is relative, so rescaling the vectors
   never changes the answer.
-* Each Frame decomposes S once, on first use, into Hermitian blocks, one per
-  residue class of the coordinates modulo the block count (one block for a
-  dense frame, the K Walnut blocks for a Gabor system with K | M).  Every
+* A Frame holds its analysis matrix, read-only so nothing derived from it
+  goes stale, and decomposes S once, on first use, into Hermitian blocks, one
+  per residue class of the coordinates modulo the block count (one block for
+  a dense frame, the K Walnut blocks for a Gabor system with K | M).  Every
   operation below reads that spectrum and applies S^{-1} or S^{-1/2} one
-  block at a time, from block powers built at most once per frame; the
-  analysis matrix is read-only so none of this can go stale.  A Gabor system
-  builds its canonical dual and tight frame from S^{-1} g and S^{-1/2} g.
+  block at a time, from block powers built at most once per frame.
 """
 
 from dataclasses import dataclass
@@ -62,6 +61,13 @@ def _as_complex_vector(obj, length, name="vector"):
     return arr
 
 
+def _check_integers(**values):
+    """DimensionMismatchError unless each value is an integer and not a bool."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise DimensionMismatchError("%s must be an integer" % name)
+
+
 def _check_frame_shape(frame, shape, name):
     if (frame.num_vectors, frame.dim) != shape:
         raise DimensionMismatchError(
@@ -69,32 +75,29 @@ def _check_frame_shape(frame, shape, name):
         )
 
 
-@dataclass(frozen=True)
 class Frame:
     """K vectors in C^N held as a K x N analysis matrix.
 
-    Row k of ``analysis`` is conj(g_k); ``vectors`` recovers the g_k
-    themselves as rows.  ``analysis`` is a read-only copy of the input.
+    Row k of the read-only ``analysis`` is conj(g_k); ``vectors`` recovers
+    the g_k as rows.  Frame(a) copies a, and frames compare by identity.
     """
 
-    analysis: np.ndarray
+    analysis = property(lambda self: self._analysis)
 
-    def __post_init__(self):
-        self._hold(_as_complex_matrix(self.analysis, "analysis"))
+    def __init__(self, analysis):
+        self._hold(_as_complex_matrix(analysis, "analysis"))
 
     @classmethod
     def _adopt(cls, arr):
         """The frame of arr without the copy and checks of Frame(arr), for a
         finite complex matrix computed here that no caller holds."""
-        frame = object.__new__(cls)
+        frame = cls.__new__(cls)
         frame._hold(arr)
         return frame
 
     def _hold(self, arr):
         arr.flags.writeable = False
-        object.__setattr__(self, "analysis", arr)
-        object.__setattr__(self, "_spectrum", None)
-        object.__setattr__(self, "_inverse_blocks", {})
+        self._analysis, self._spectrum, self._inverse_blocks = arr, None, {}
 
     def spectrum(self):
         """The frame operator's Spectrum, read-only, computed on first use."""
@@ -102,7 +105,7 @@ class Frame:
             spec = self._decompose()
             for arr in (spec.w, spec.u):
                 arr.flags.writeable = False
-            object.__setattr__(self, "_spectrum", spec)
+            self._spectrum = spec
         return self._spectrum
 
     def _decompose(self):
@@ -140,23 +143,14 @@ class Frame:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """The frame operator as B Hermitian blocks over the residue classes of
-    the coordinates modulo B.
-
-    Block b acts on the coordinates index[b] = b, b + B, b + 2B, ... and
-    equals u[b] @ diag(w[b]) @ u[b]^H; its eigenvalues w[b] ascend.  A dense
-    frame is one block (index arange(N)); a Gabor system with K | M has its
-    K Walnut blocks.  Shapes: w (B, n), u (B, n, n), index (B, n), B n = N.
+    """The frame operator as B Hermitian blocks: block b acts on the
+    coordinates b + jB, j = 0..n-1, and equals u[b] @ diag(w[b]) @ u[b]^H,
+    its eigenvalues w[b] ascending.  A dense frame is one block; a Gabor
+    system with K | M has its K Walnut blocks.  Shapes: w (B, n), u (B, n, n).
     """
 
     w: np.ndarray
     u: np.ndarray
-
-    @property
-    def index(self):
-        """index[b, j] = b + j B, the coordinate of row j of block b."""
-        b, n = self.w.shape
-        return np.arange(b)[:, None] + b * np.arange(n)
 
 
 @dataclass(frozen=True)
@@ -362,8 +356,9 @@ def check_biorthonormal(frame, dual):
 def harmonic_frame(dim, redundancy):
     """K*N roots-of-unity vectors g_k[m] = exp(2 pi i k m / (K N)).
 
-    Tight with bound K*N for any dim >= 1, redundancy >= 1.
+    Tight with bound K*N for any integers dim >= 1, redundancy >= 1.
     """
+    _check_integers(dim=dim, redundancy=redundancy)
     if dim < 1 or redundancy < 1:
         raise DimensionMismatchError("dim and redundancy must be >= 1")
     count = dim * redundancy
@@ -374,6 +369,7 @@ def harmonic_frame(dim, redundancy):
 
 def remove_vector(frame, index):
     """The frame with vector ``index`` deleted."""
+    _check_integers(index=index)
     if not 0 <= index < frame.num_vectors:
         raise DimensionMismatchError(
             "index %d out of range for %d vectors" % (index, frame.num_vectors)

@@ -22,8 +22,9 @@ a unitary DFT of length q = (M/K) / p block-diagonalises it (the Zak-domain
 picture of Zibulski and Zeevi).  Frames built here with K | M are GaborFrames:
 they solve those K q blocks of p x p in one stacked Jacobi call, keep the
 Walnut blocks as their spectrum and form no M x M matrix; as S commutes with
-every system shift, their canonical dual and tight frame are the systems of
-S^{-1} g and S^{-1/2} g.  K that do not divide M keep the dense frame.
+every system shift, their canonical dual and tight frame are the GaborFrames
+of S^{-1} g and S^{-1/2} g, which verify_wh_structure checks by prototype.  K
+that do not divide M keep the dense frame.
 
 A built system is shared: while a caller holds the frame of a prototype and
 params, build_gabor_frame (and so gabor_dual_prototype) returns that frame and
@@ -175,9 +176,13 @@ def build_gabor_frame(proto, params):
 
 
 class GaborFrame(Frame):
-    """The system of ``prototype`` under ``params`` with K | M, built from
-    their ``tables``: its spectrum is the Walnut spectrum, and its canonical
-    dual (tight frame) is the system of the one prototype S^{-1} g (S^{-1/2} g)."""
+    """The system of ``prototype`` under ``params`` (K | M) from their
+    ``tables``, all three read-only.  Its spectrum is the Walnut spectrum;
+    its canonical dual (tight frame) is the system of S^{-1} g (S^{-1/2} g)."""
+
+    prototype = property(lambda self: self._prototype)
+    params = property(lambda self: self._params)
+    tables = property(lambda self: self._tables)
 
     def _decompose(self):
         return _walnut_spectrum(self.prototype, self.params, self.tables[0])
@@ -196,7 +201,7 @@ def _build(g, params, tables=None):
         return Frame._adopt(analysis)
     frame = GaborFrame._adopt(analysis)
     g.flags.writeable = False
-    vars(frame).update(prototype=g, params=params, tables=tables)  # frozen dataclass
+    frame._prototype, frame._params, frame._tables = g, params, tables
     return frame
 
 
@@ -214,17 +219,17 @@ def gabor_dual_prototype(proto, params):
 
 
 def verify_wh_structure(dual_frame, proto, params):
-    """Whether dual_frame is the Weyl-Heisenberg system of proto.
-
-    Compares vectors in build order (k outer, l inner) within FRAME_RTOL
-    times max|proto|, the largest entry of that system (modulations have
-    unit modulus), so rescaling both sides never changes the answer.  A
-    GaborFrame dual_frame of equal params lends its tables."""
+    """Whether dual_frame is the Weyl-Heisenberg system of proto within
+    FRAME_RTOL times max|proto|, the system's largest entry (modulations have
+    unit modulus), so rescaling never changes the answer.  A GaborFrame of
+    equal params is by construction the system of its prototype, so only the
+    prototypes are compared."""
     g = _as_complex_vector(proto, params.length, "prototype")
     _check_frame_shape(dual_frame, (params.count, params.length), "frame")
     tol = FRAME_RTOL * np.abs(g).max()
-    own = isinstance(dual_frame, GaborFrame) and dual_frame.params == params
-    index, phases = dual_frame.tables if own else _shift_tables(params)
+    if isinstance(dual_frame, GaborFrame) and dual_frame.params == params:
+        return bool(np.abs(dual_frame.prototype - g).max() <= tol)
+    index, phases = _shift_tables(params)
     translates = g[index]
     rows = dual_frame.analysis.reshape(params.mods, params.steps, params.length)
     # a few modulations at a time, so no K*L x M temporary is formed; the

@@ -28,7 +28,7 @@ from .errors import (
     ProtectedBinError,
     SizeLimitError,
 )
-from .frames import Frame, _as_complex_vector
+from .frames import Frame, _as_complex_vector, _check_integers
 
 PR_TOL = 1e-9
 # Monte Carlo work limit, trials * N.  With trials >= 1 it also bounds N, so
@@ -45,10 +45,7 @@ class SamplingModel:
     period: int
 
     def __post_init__(self):
-        for name in ("size", "band", "period"):
-            val = getattr(self, name)
-            if not isinstance(val, (int, np.integer)):
-                raise DimensionMismatchError("%s must be an integer" % name)
+        _check_integers(size=self.size, band=self.band, period=self.period)
         if self.size < 2 or self.size % 2:
             raise DimensionMismatchError("size must be even and >= 2, got %d" % self.size)
         if self.period < 1 or self.size % self.period:

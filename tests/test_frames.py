@@ -393,6 +393,18 @@ def test_remove_vector_bounds_checks():
         remove_vector(Frame.from_vectors([[1.0]]), 0)
 
 
+@pytest.mark.parametrize("index", [True, False, 1.5, 1.0, np.float64(0.0)])
+def test_remove_vector_rejects_non_integer_indices(index):
+    # np.delete raised its own ValueError for True and IndexError for 1.5
+    with pytest.raises(DimensionMismatchError, match="index must be an integer"):
+        remove_vector(redundant_basis(), index)
+
+
+def test_remove_vector_takes_numpy_integers():
+    f = redundant_basis()
+    assert np.array_equal(remove_vector(f, np.int64(1)).analysis, remove_vector(f, 1).analysis)
+
+
 # ----------------------------------------------------------- biorthonormal
 
 
@@ -438,6 +450,18 @@ def test_harmonic_frame_validation():
         harmonic_frame(0, 2)
     with pytest.raises(DimensionMismatchError):
         harmonic_frame(2, 0)
+
+
+@pytest.mark.parametrize("dim, redundancy", [(2.5, 2), (2, 1.5), (2.0, 2), (True, 2), (2, True)])
+def test_harmonic_frame_rejects_non_integer_sizes(dim, redundancy):
+    # harmonic_frame(2.5, 2) used to return a 5 x 3 frame
+    with pytest.raises(DimensionMismatchError, match="must be an integer"):
+        harmonic_frame(dim, redundancy)
+
+
+def test_harmonic_frame_takes_numpy_integers():
+    f = harmonic_frame(np.int32(3), np.int64(2))
+    assert np.array_equal(f.analysis, harmonic_frame(3, 2).analysis)
 
 
 # ----------------------------------------------------------------- naimark
@@ -555,7 +579,8 @@ def test_spectrum_matches_eigh_and_is_read_only():
     spec = f.spectrum()
     # a dense frame is one block over every coordinate
     assert spec.w.shape == (1, 5) and spec.u.shape == (1, 5, 5)
-    assert np.array_equal(spec.index, np.arange(5)[None])
+    b, n = spec.w.shape
+    assert np.array_equal(np.arange(b)[:, None] + b * np.arange(n), np.arange(5)[None])
     w, v = spec.w[0], spec.u[0]
     s = frame_operator(f)
     assert np.allclose(w, np.linalg.eigvalsh(s), rtol=0, atol=1e-13 * np.linalg.norm(s))
@@ -567,6 +592,19 @@ def test_spectrum_matches_eigh_and_is_read_only():
         spec.u[0, 0, 0] = 0.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         spec.w = np.zeros((1, 5))
+
+
+def test_frames_compare_by_identity_and_hold_a_read_only_matrix():
+    a = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    f, g = Frame(a), Frame(a)
+    assert (f == g) is False and f == f and f != g
+    assert len({f, g, f, canonical_dual(f)}) == 3
+    with pytest.raises(AttributeError):
+        f.analysis = np.zeros((3, 2))
+    with pytest.raises(ValueError):
+        f.analysis[0, 0] = 5.0
+    a[0, 0] = 5.0  # Frame(a) holds a copy
+    assert f.analysis[0, 0] == 1.0
 
 
 def test_frame_operator_overflow_is_typed_and_silent():

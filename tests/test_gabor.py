@@ -28,6 +28,7 @@ from framekit import (
     range_projection,
     tighten,
 )
+from framekit.frames import FRAME_RTOL
 from framekit.gabor import (
     MAX_GABOR_ENTRIES,
     GaborParams,
@@ -386,7 +387,8 @@ def test_build_is_bit_identical_to_weyl_shifts():
 
 def block_operator(spec):
     """The dense N x N operator that a Spectrum's blocks describe."""
-    index = spec.index
+    b, n = spec.w.shape
+    index = np.arange(b)[:, None] + b * np.arange(n)  # block b holds b + jB
     s = np.zeros((index.size, index.size), dtype=complex)
     s[index[:, :, None], index[:, None, :]] = (spec.u * spec.w[:, None, :]) @ np.conj(
         np.swapaxes(spec.u, -1, -2)
@@ -408,7 +410,9 @@ def test_walnut_spectrum_matches_dense_path():
         assert spec.w.shape == (p.mods, size) and spec.u.shape == (p.mods, size, size)
         assert np.all(np.diff(spec.w, axis=-1) >= 0)
         assert np.max(np.abs(np.conj(np.swapaxes(spec.u, -1, -2)) @ spec.u - np.eye(size))) <= 1e-13
-        assert np.array_equal(spec.index, np.arange(p.mods)[:, None] + p.mods * np.arange(size))
+        b = len(spec.w)
+        want = np.arange(p.mods)[:, None] + p.mods * np.arange(size)
+        assert np.array_equal(np.arange(b)[:, None] + b * np.arange(size), want)
         assert np.max(np.abs(np.sort(spec.w, axis=None) - np.linalg.eigvalsh(s))) <= 1e-13 * scale
         assert np.linalg.norm(block_operator(spec) - s) <= 1e-12 * scale
         wb, db = frame_bounds(walnut), frame_bounds(dense)
@@ -711,6 +715,19 @@ def test_dropped_systems_are_not_retained(monkeypatch):
     assert shapes == [(6, 1, 2, 2)]
 
 
+def test_gabor_check_of_a_dense_system_solves_once(monkeypatch, capsys):
+    from framekit import cli
+
+    # K = 5 does not divide M = 12: one dense 12 x 12 solve serves the bounds,
+    # the canonical dual and gabor_dual_prototype, which reads the live system
+    shapes = record_solves(monkeypatch)
+    argv = ["gabor-check", "--proto", "gaussian", "--n", "12", "--shift", "2", "--mods", "5"]
+    assert cli.run(argv) == 0
+    out = capsys.readouterr().out
+    assert '"is_frame": true' in out and '"wh_structure": false' in out
+    assert shapes == [(12, 12)]
+
+
 def test_walnut_overflow_is_typed_and_silent():
     params = GaborParams(length=8, shift=2, mods=4)
     system = build_gabor_frame(np.full(8, 1e200), params)
@@ -748,6 +765,57 @@ def test_gabor_frames_are_freed_by_reference_counting():
         assert len(framekit.gabor._live_systems) == 0
     finally:
         gc.enable()
+
+
+def test_gabor_frames_hold_read_only_attributes():
+    rng = np.random.default_rng(181)
+    p = GaborParams(length=12, shift=2, mods=4)
+    g = random_proto(rng, 12)
+    system = build_gabor_frame(g, p)
+    dual = canonical_dual(system)
+    assert build_gabor_frame(g, p) == system != dual
+    assert len({system, dual, build_gabor_frame(g, p)}) == 2
+    for frame in (system, dual, tighten(system)):
+        assert frame.params == p
+        for name in ("analysis", "prototype", "params", "tables"):
+            with pytest.raises(AttributeError):
+                setattr(frame, name, getattr(frame, name))
+        with pytest.raises(ValueError):
+            frame.prototype[0] = 0.0
+    assert np.array_equal(system.prototype, g)
+
+
+def test_both_routes_of_the_structure_check_agree():
+    # a GaborFrame of equal params is checked by its prototype, any other
+    # frame row by row: both answer alike on the frame's own prototype, the
+    # primal one, one entry moved by 0.5 and 2 tolerances, and all of these
+    # rescaled by 2^400 and 2^-400
+    rng = np.random.default_rng(179)
+    spanning = 0
+    for p in WALNUT_CONFIGS:
+        g = random_proto(rng, p.length)
+        for scale in (1.0, 2.0**400, 2.0**-400):
+            system = build_gabor_frame(g * scale, p)
+            frames = [system]
+            if frame_bounds(system).spans():
+                spanning += 1
+                frames += [canonical_dual(system), tighten(system)]
+            for gf in frames:
+                dense = Frame(gf.analysis)
+                own = gf.prototype
+                i = np.argmin(np.abs(own))
+                tol = FRAME_RTOL * np.max(np.abs(own))
+                protos = [(own, True), (g * scale, gf is system)]
+                for moved_by, want in ((0.5, True), (2.0, False)):
+                    moved = own.copy()
+                    moved[i] += moved_by * tol
+                    protos.append((moved, want))
+                for proto, want in protos:
+                    for factor, result in ((1.0, want), (2.0**400, False), (2.0**-400, False)):
+                        got = verify_wh_structure(gf, proto * factor, p)
+                        rows = verify_wh_structure(dense, proto * factor, p)
+                        assert got is rows is result, (p, scale, factor)
+    assert spanning >= 3 * (len(WALNUT_CONFIGS) // 2)
 
 
 def test_gabor_check_evaluates_the_phases_once(monkeypatch, capsys):
