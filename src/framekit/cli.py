@@ -192,7 +192,7 @@ def _cmd_gabor_check(args):
     report = _bounds_report(system)
     if report["is_frame"]:
         dual_frame = frames.canonical_dual(system)
-        built = isinstance(dual_frame, gabor.GaborFrame)  # from its S^{-1} g
+        built = isinstance(dual_frame, gabor._GaborFrame)  # from its S^{-1} g
         dual_proto = dual_frame.prototype if built else gabor.gabor_dual_prototype(proto, params)
         report["wh_structure"] = gabor.verify_wh_structure(dual_frame, dual_proto, params)
     else:

@@ -5,10 +5,10 @@ The system of a prototype g under params (M, T, K) is
     g_{k,l}[n] = g[(n - l T) mod M] * exp(2 pi i k n / K)
 
 for k = 0..K-1 modulations and l = 0..L-1 shifts, L = M / T.  Rows of the
-frame are ordered with k outer, l inner.  K does not have to divide M for the
-operators to make sense, but the exact composition identities (and therefore
-frame-operator commutation and dual structure) need K | M; all bundled
-configurations satisfy that.
+frame are ordered k outer, l inner; their phases are the exact K-th roots of
+unity exp(2 pi i j / K) at j = (k n) mod K, so rows are exactly K-periodic.
+Any K defines the system, but the composition identities (and so frame-operator
+commutation and the dual's structure) need K | M.
 
 When K | M the frame operator is also sparse: summing the K modulations gives
 
@@ -19,12 +19,12 @@ B_r[j, j'] = S[r + jK, r + j'K] (Strohmer, "Numerical algorithms for discrete
 Gabor expansions", 1998).  S also commutes with the translations by T, so
 each Walnut block is block-circulant with p x p blocks, p = T / gcd(T, K), and
 a unitary DFT of length q = (M/K) / p block-diagonalises it (the Zak-domain
-picture of Zibulski and Zeevi).  Frames built here with K | M are GaborFrames:
-they solve those K q blocks of p x p in one stacked Jacobi call, keep the
-Walnut blocks as their spectrum and form no M x M matrix; as S commutes with
-every system shift, their canonical dual and tight frame are the GaborFrames
-of S^{-1} g and S^{-1/2} g, which verify_wh_structure checks by prototype.  K
-that do not divide M keep the dense frame.
+picture of Zibulski and Zeevi).  Frames built here with K | M are Gabor frames
+(a private class): they solve those K q blocks of p x p in one stacked Jacobi
+call, keep the Walnut blocks as their spectrum and form no M x M matrix; as S
+commutes with every system shift, their canonical dual and tight frame are the
+Gabor frames of S^{-1} g and S^{-1/2} g, which verify_wh_structure checks by
+prototype.  K that do not divide M keep the dense frame.
 
 A built system is shared: while a caller holds the frame of a prototype and
 params, build_gabor_frame (and so gabor_dual_prototype) returns that frame and
@@ -45,6 +45,7 @@ from .frames import (
     _apply_inverse,
     _as_complex_vector,
     _check_frame_shape,
+    _check_integers,
     _checked_operator,
 )
 from .hermitian import jacobi_eigh
@@ -72,9 +73,9 @@ class GaborParams:
     mods: int
 
     def __post_init__(self):
+        _check_integers(length=self.length, shift=self.shift, mods=self.mods)
         for name in ("length", "shift", "mods"):
-            val = getattr(self, name)
-            if not isinstance(val, (int, np.integer)) or val < 1:
+            if getattr(self, name) < 1:
                 raise DimensionMismatchError("%s must be a positive integer" % name)
         if self.length % self.shift:
             raise DimensionMismatchError(
@@ -98,34 +99,31 @@ class GaborParams:
         return self.mods * self.steps
 
 
-def _modulations(k, params):
-    """exp(2 pi i k n / K) over n = 0..M-1; k may be a column of indices."""
-    return np.exp(2j * np.pi * k * np.arange(params.length) / params.mods)
+def _modulations(k, length, mods):
+    """exp(2 pi i k n / mods), n < length, from the exact mods-th roots; k may be a column."""
+    return np.exp(2j * np.pi * np.arange(mods) / mods)[k * np.arange(length) % mods]
 
 
 def weyl_shift(x, k, l, params):
     """Translate by l*T and modulate by the k-th K-th root of unity."""
     arr = _as_complex_vector(x, params.length, "prototype")
-    return np.roll(arr, l * params.shift) * _modulations(k, params)
+    return np.roll(arr, l * params.shift) * _modulations(k, params.length, params.mods)
 
 
 def weyl_matrix(k, l, params):
     """The unitary matrix of weyl_shift(., k, l)."""
-    m = params.length
-    mat = np.zeros((m, m), dtype=np.complex128)
-    rows = np.arange(m)
-    mat[rows, (rows - l * params.shift) % m] = _modulations(k, params)
-    return mat
+    shifted = np.roll(np.eye(params.length, dtype=np.complex128), l * params.shift, axis=0)
+    return shifted * _modulations(k, params.length, params.mods)[:, None]
 
 
 def _shift_tables(params):
     """Read-only L x M translate index, g[index][l, n] = g[n - lT], and K x M
-    phases: row (k, l) of the system is g[index][l] * phases[k].  A GaborFrame
+    phases: row (k, l) of the system is g[index][l] * phases[k].  A Gabor frame
     keeps them and hands them on to its dual and tight frames."""
     n = np.arange(params.length)
     shifts = params.shift * np.arange(params.steps)
     index = (n[None, :] - shifts[:, None]) % params.length
-    phases = _modulations(np.arange(params.mods)[:, None], params)
+    phases = _modulations(np.arange(params.mods)[:, None], params.length, params.mods)
     index.flags.writeable = phases.flags.writeable = False
     return index, phases
 
@@ -147,7 +145,7 @@ def _walnut_spectrum(g, params, index):
     # cols[r, j, l] = g[r + jK - lT], the translates on the residue class r
     cols = g[index.T.reshape(size, k, -1).swapaxes(0, 1)]
     # the DFT unscaled, so its 1/q is one division of the blocks
-    f = np.exp(2j * np.pi * (np.outer(np.arange(q), np.arange(q)) % q) / q)
+    f = _modulations(np.arange(q)[:, None], q, q)
     with np.errstate(over="ignore", invalid="ignore"):
         y = (np.conj(f) @ cols.reshape(k, q, -1)).reshape(k, q, p, -1)
         blocks = _checked_operator(k * (y @ np.conj(np.swapaxes(y, -1, -2))) / q, g.any())
@@ -157,13 +155,14 @@ def _walnut_spectrum(g, params, index):
     u = (f / math.sqrt(q))[:, None, :, None] * np.swapaxes(v, 1, 2)[:, None]
     u = u.reshape(k, size, size)
     order = np.argsort(w, axis=-1, kind="stable")
-    return Spectrum(np.take_along_axis(w, order, -1), np.take_along_axis(u, order[:, None, :], -1))
+    r = np.arange(k)[:, None]
+    return Spectrum(w[r, order], u[r[:, :, None], np.arange(size)[:, None], order[:, None, :]])
 
 
 def build_gabor_frame(proto, params):
     """Frame of all K*L translates-modulates of the prototype, k outer.
 
-    With K | M it is a GaborFrame, decomposed by its Walnut blocks.  While a
+    With K | M it is a Gabor frame, decomposed by its Walnut blocks.  While a
     frame built from the bit-identical prototype and equal params is alive,
     that same frame is returned.
     """
@@ -175,7 +174,7 @@ def build_gabor_frame(proto, params):
     return frame
 
 
-class GaborFrame(Frame):
+class _GaborFrame(Frame):
     """The system of ``prototype`` under ``params`` (K | M) from their
     ``tables``, all three read-only.  Its spectrum is the Walnut spectrum;
     its canonical dual (tight frame) is the system of S^{-1} g (S^{-1/2} g)."""
@@ -195,11 +194,10 @@ def _build(g, params, tables=None):
     """The system of g, a prototype no caller holds, from the _shift_tables of
     params: every weyl_shift(g, k, l) as a conjugated row, k outer, l inner."""
     index, phases = tables = tables or _shift_tables(params)
-    vectors = (g[index][None, :, :] * phases[:, None, :]).reshape(-1, params.length)
-    analysis = np.conj(vectors, out=vectors)
+    analysis = (np.conj(g)[index] * np.conj(phases)[:, None, :]).reshape(-1, params.length)
     if params.length % params.mods:
         return Frame._adopt(analysis)
-    frame = GaborFrame._adopt(analysis)
+    frame = _GaborFrame._adopt(analysis)
     g.flags.writeable = False
     frame._prototype, frame._params, frame._tables = g, params, tables
     return frame
@@ -221,13 +219,13 @@ def gabor_dual_prototype(proto, params):
 def verify_wh_structure(dual_frame, proto, params):
     """Whether dual_frame is the Weyl-Heisenberg system of proto within
     FRAME_RTOL times max|proto|, the system's largest entry (modulations have
-    unit modulus), so rescaling never changes the answer.  A GaborFrame of
+    unit modulus), so rescaling never changes the answer.  A Gabor frame of
     equal params is by construction the system of its prototype, so only the
     prototypes are compared."""
     g = _as_complex_vector(proto, params.length, "prototype")
     _check_frame_shape(dual_frame, (params.count, params.length), "frame")
     tol = FRAME_RTOL * np.abs(g).max()
-    if isinstance(dual_frame, GaborFrame) and dual_frame.params == params:
+    if isinstance(dual_frame, _GaborFrame) and dual_frame.params == params:
         return bool(np.abs(dual_frame.prototype - g).max() <= tol)
     index, phases = _shift_tables(params)
     translates = g[index]

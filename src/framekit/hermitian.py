@@ -111,13 +111,15 @@ def jacobi_eigh(mat):
         raise DimensionMismatchError("matrix entries must be finite")
     shape = a.shape
     n = shape[-1]
+    if n == 1:  # nothing to rotate; + 0.0 folds -0.0 as the symmetrization does
+        z = a[..., 0]  # is_hermitian's |z - conj z| <= RTOL |z|, on |Re z|: no overflow
+        if np.any(np.abs(z.imag) > HERMITIAN_RTOL / 2 * np.abs(z.real)):
+            raise NotHermitianError("matrix is not conjugate-symmetric")
+        return z.real + 0.0, np.ones(shape, dtype=np.complex128)
     a = a.reshape(-1, n, n)
     exponent = _prescale(a)  # eigenvalues are scaled back at the end
     if not is_hermitian(a):
         raise NotHermitianError("matrix is not conjugate-symmetric")
-    if n == 1:  # nothing to rotate; + 0.0 folds -0.0 as the symmetrization does
-        w = np.ldexp(a[:, 0].real + 0.0, exponent[:, None])
-        return w.reshape(shape[:-1]), np.ones(shape, dtype=np.complex128)
     # exact symmetrization so rotations preserve Hermitian structure to the bit
     a = (a + _conj_t(a)) / 2.0
     target = OFF_TOLERANCE * np.linalg.norm(a, axis=(-2, -1))

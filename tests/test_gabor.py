@@ -32,6 +32,7 @@ from framekit.frames import FRAME_RTOL
 from framekit.gabor import (
     MAX_GABOR_ENTRIES,
     GaborParams,
+    _shift_tables,
     build_gabor_frame,
     gabor_dual_prototype,
     named_prototype,
@@ -73,6 +74,14 @@ def test_params_validation():
         GaborParams(length=4, shift=2, mods=0)
     with pytest.raises(DimensionMismatchError):
         GaborParams(length=4.0, shift=2, mods=1)
+
+
+def test_params_reject_boolean_sizes():
+    # a bool is an int to Python; GaborParams(True, True, True) built (1, 1, 1)
+    for sizes in ((True, 1, 1), (2, True, 1), (2, 1, True), (True, True, True)):
+        with pytest.raises(DimensionMismatchError, match="must be an integer"):
+            GaborParams(*sizes)
+    assert GaborParams(np.int64(4), np.int32(2), np.uint8(2)) == GaborParams(4, 2, 2)
 
 
 def test_params_size_limit():
@@ -375,6 +384,33 @@ def zak_shape(p):
     """(K, q, p, p): the stack the Walnut spectrum of p solves."""
     block = p.shift // math.gcd(p.shift, p.mods)
     return (p.mods, p.length // p.mods // block, block, block)
+
+
+def test_modulation_table_is_exactly_periodic():
+    # the phases are read from the K exact K-th roots of unity, so entry
+    # (k, n) is entry (1, (k n) mod K) bit for bit (row 0 when K = 1), and every
+    # row repeats with period K; evaluating exp(2 pi i k n / K) per entry was
+    # off from the roots by up to 1.4e-13 at M = 128
+    for p in WALNUT_CONFIGS + [GaborParams(length=12, shift=2, mods=5)]:
+        phases = _shift_tables(p)[1]
+        k, n = np.ogrid[: p.mods, : p.length]
+        roots = phases[1 % p.mods]
+        assert phases.tobytes() == roots[k * n % p.mods].tobytes(), p
+        periodic = np.ascontiguousarray(phases[:, p.mods :])
+        assert periodic.tobytes() == np.ascontiguousarray(phases[:, : -p.mods]).tobytes(), p
+        assert np.allclose(phases, np.exp(2j * np.pi * k * n / p.mods), rtol=0, atol=1e-12)
+
+
+def test_gabor_frames_are_made_only_from_a_prototype():
+    # the class of a Gabor frame is private: Frame's checking constructor on a
+    # public GaborFrame made a frame without a prototype, whose bounds then
+    # ended in an untyped AttributeError
+    import framekit.gabor
+
+    public = [v for name, v in vars(framekit.gabor).items() if not name.startswith("_")]
+    assert [v for v in public if isinstance(v, type) and issubclass(v, Frame)] == [Frame]
+    system = build_gabor_frame(np.ones(4), GaborParams(length=4, shift=1, mods=2))
+    assert type(system).__name__.startswith("_") and system.prototype.tolist() == [1.0] * 4
 
 
 def test_build_is_bit_identical_to_weyl_shifts():
@@ -825,14 +861,15 @@ def test_gabor_check_evaluates_the_phases_once(monkeypatch, capsys):
     modulations = framekit.gabor._modulations
     tables = []
 
-    def recording(k, params):
+    def recording(k, length, mods):
         if np.ndim(k) == 2:
-            tables.append(params)
-        return modulations(k, params)
+            tables.append((length, mods))
+        return modulations(k, length, mods)
 
     monkeypatch.setattr(framekit.gabor, "_modulations", recording)
     argv = ["gabor-check", "--proto", "gaussian", "--n", "48", "--shift", "4", "--mods", "12"]
     assert cli.run(argv) == 0
     assert '"wh_structure": true' in capsys.readouterr().out
-    # the build, the dual's build and the structure check share one table
-    assert tables == [GaborParams(length=48, shift=4, mods=12)]
+    # the build, the dual's build and the structure check share one K x M
+    # table; the other one is the q x q Zak-domain DFT of the Walnut blocks
+    assert tables == [(48, 12), (4, 4)]

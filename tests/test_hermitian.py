@@ -100,6 +100,32 @@ def test_one_by_one_members_skip_the_sweeps(monkeypatch):
             jacobi_eigh(bad)
 
 
+def test_one_by_one_path_keeps_the_checks_at_any_magnitude():
+    # the 1 x 1 path skips the power-of-two scaling and is_hermitian, but keeps
+    # the finiteness check and is_hermitian's relative tolerance
+    # |z - conj(z)| <= HERMITIAN_RTOL |z| at every magnitude, without a warning
+    assert hermitian.HERMITIAN_RTOL == 1e-12
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (np.nan, np.inf, complex(1.0, np.inf), complex(np.nan, 0.0)):
+            with pytest.raises(DimensionMismatchError, match="finite"):
+                jacobi_eigh([[bad]])
+        for x in (1.0, -3.5, 1e300, -1e300, 1e-300, -1e-300, 1.7e308):
+            with pytest.raises(NotHermitianError):
+                jacobi_eigh([[complex(x, 1e-11 * abs(x))]])
+            w, v = jacobi_eigh([[complex(x, 1e-13 * abs(x))]])
+            assert w.tolist() == [x] and v.tolist() == [[1.0]]
+        with pytest.raises(NotHermitianError):
+            jacobi_eigh([[complex(1.5e308, 1.5e308)]])  # |z| is above 1.8e308
+        w, _ = jacobi_eigh([[[-0.0]], [[complex(-0.0, -0.0)]], [[0.0]]])
+        assert w.tolist() == [[0.0]] * 3 and not np.signbit(w).any()
+        z = np.array([1.0, -3.5, 1e100, -1e-100, 0.1, 0.0]) * (1 + 1e-13j)
+        w = jacobi_eigh(z.reshape(-1, 1, 1))[0]
+        for e in (600, -600):
+            scaled = jacobi_eigh(z.reshape(-1, 1, 1) * 2.0**e)[0]
+            assert np.array_equal(scaled, np.ldexp(w, e))
+
+
 def test_degenerate_spectrum():
     a = 2.5 * np.eye(4, dtype=complex)
     w, v = jacobi_eigh(a)
