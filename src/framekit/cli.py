@@ -78,7 +78,7 @@ def build_parser():
         p.add_argument("--proto", required=True, help="delta|gaussian|boxcar or a vector file")
         p.add_argument("--n", required=True, type=int, help="signal length M")
         p.add_argument("--shift", required=True, type=int, help="time step T (divides M)")
-        p.add_argument("--mods", required=True, type=int, help="modulation count K")
+        p.add_argument("--mods", required=True, type=int, help="modulation count K (divides M)")
 
     for name, help_, handler in (
         ("sample-reconstruct", "sample a random bandlimited signal and reconstruct",
@@ -191,10 +191,8 @@ def _cmd_gabor_check(args):
     system = gabor.build_gabor_frame(proto, params)
     report = _bounds_report(system)
     if report["is_frame"]:
-        dual_frame = frames.canonical_dual(system)
-        built = isinstance(dual_frame, gabor._GaborFrame)  # from its S^{-1} g
-        dual_proto = dual_frame.prototype if built else gabor.gabor_dual_prototype(proto, params)
-        report["wh_structure"] = gabor.verify_wh_structure(dual_frame, dual_proto, params)
+        dual_frame = frames.canonical_dual(system)  # the Gabor frame of S^{-1} g
+        report["wh_structure"] = gabor.verify_wh_structure(dual_frame, dual_frame.prototype, params)
     else:
         report["wh_structure"] = None
     return dumps_report(report)

@@ -14,7 +14,7 @@ Conventions used throughout:
 * A Frame holds its analysis matrix, read-only so nothing derived from it
   goes stale, and decomposes S once, on first use, into Hermitian blocks, one
   per residue class of the coordinates modulo the block count (one block for
-  a dense frame, the K Walnut blocks for a Gabor system with K | M).  Every
+  a dense frame, the K Walnut blocks for a Gabor system).  Every
   operation below reads that spectrum and applies S^{-1} or S^{-1/2} one
   block at a time, from block powers built at most once per frame.
 """
@@ -146,7 +146,7 @@ class Spectrum:
     """The frame operator as B Hermitian blocks: block b acts on the
     coordinates b + jB, j = 0..n-1, and equals u[b] @ diag(w[b]) @ u[b]^H,
     its eigenvalues w[b] ascending.  A dense frame is one block; a Gabor
-    system with K | M has its K Walnut blocks.  Shapes: w (B, n), u (B, n, n).
+    system has its K Walnut blocks.  Shapes: w (B, n), u (B, n, n).
     """
 
     w: np.ndarray

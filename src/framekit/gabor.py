@@ -4,13 +4,12 @@ The system of a prototype g under params (M, T, K) is
 
     g_{k,l}[n] = g[(n - l T) mod M] * exp(2 pi i k n / K)
 
-for k = 0..K-1 modulations and l = 0..L-1 shifts, L = M / T.  Rows of the
-frame are ordered k outer, l inner; their phases are the exact K-th roots of
-unity exp(2 pi i j / K) at j = (k n) mod K, so rows are exactly K-periodic.
-Any K defines the system, but the composition identities (and so frame-operator
-commutation and the dual's structure) need K | M.
+for k = 0..K-1 modulations and l = 0..L-1 shifts, L = M / T, with T and K
+dividing M.  Rows of the frame are ordered k outer, l inner; their phases are
+the exact K-th roots of unity exp(2 pi i j / K) at j = (k n) mod K, so rows are
+exactly K-periodic.
 
-When K | M the frame operator is also sparse: summing the K modulations gives
+The frame operator is sparse: summing the K modulations gives
 
     S[n, m] = K sum_l g[n - lT] conj(g[m - lT])  if n = m (mod K), else 0,
 
@@ -19,12 +18,12 @@ B_r[j, j'] = S[r + jK, r + j'K] (Strohmer, "Numerical algorithms for discrete
 Gabor expansions", 1998).  S also commutes with the translations by T, so
 each Walnut block is block-circulant with p x p blocks, p = T / gcd(T, K), and
 a unitary DFT of length q = (M/K) / p block-diagonalises it (the Zak-domain
-picture of Zibulski and Zeevi).  Frames built here with K | M are Gabor frames
-(a private class): they solve those K q blocks of p x p in one stacked Jacobi
-call, keep the Walnut blocks as their spectrum and form no M x M matrix; as S
-commutes with every system shift, their canonical dual and tight frame are the
-Gabor frames of S^{-1} g and S^{-1/2} g, which verify_wh_structure checks by
-prototype.  K that do not divide M keep the dense frame.
+picture of Zibulski and Zeevi).  Frames built here are Gabor frames (a private
+class): they solve those K q blocks of p x p in one stacked Jacobi call, keep
+the Walnut blocks as their spectrum and form no M x M matrix; as S commutes
+with every system shift, their canonical dual and tight frame are the Gabor
+frames of S^{-1} g and S^{-1/2} g, which verify_wh_structure checks by
+prototype.
 
 A built system is shared: while a caller holds the frame of a prototype and
 params, build_gabor_frame (and so gabor_dual_prototype) returns that frame and
@@ -54,9 +53,6 @@ PROTOTYPE_NAMES = ("delta", "gaussian", "boxcar")
 # Largest of the system's K*L x M analysis matrix and its M x M frame
 # operator, in entries: 2^24 complex entries are 256 MiB.
 MAX_GABOR_ENTRIES = 2**24
-# Complex entries (128 KiB) per temporary of the structure check: buffers this
-# small come back already mapped, a full-size one faults a page per 4 KiB.
-CHUNK_ENTRIES = 2**13
 
 # (prototype bytes, params) -> the live frame built from them.  A frame is
 # safe to share because its analysis matrix is read-only and its spectrum is
@@ -86,6 +82,10 @@ class GaborParams:
             raise SizeLimitError(
                 "%d vectors in C^%d need %d matrix entries, over the limit of %d"
                 % (self.count, self.length, entries, MAX_GABOR_ENTRIES)
+            )
+        if self.length % self.mods:
+            raise DimensionMismatchError(
+                "mods %d must divide length %d" % (self.mods, self.length)
             )
 
     @property
@@ -160,11 +160,10 @@ def _walnut_spectrum(g, params, index):
 
 
 def build_gabor_frame(proto, params):
-    """Frame of all K*L translates-modulates of the prototype, k outer.
-
-    With K | M it is a Gabor frame, decomposed by its Walnut blocks.  While a
-    frame built from the bit-identical prototype and equal params is alive,
-    that same frame is returned.
+    """Gabor frame of all K*L translates-modulates of the prototype, k outer,
+    decomposed by its Walnut blocks.  While a frame built from the
+    bit-identical prototype and equal params is alive, that same frame is
+    returned.
     """
     g = np.array(_as_complex_vector(proto, params.length, "prototype"))
     key = (g.tobytes(), params)
@@ -175,7 +174,7 @@ def build_gabor_frame(proto, params):
 
 
 class _GaborFrame(Frame):
-    """The system of ``prototype`` under ``params`` (K | M) from their
+    """The system of ``prototype`` under ``params`` from their
     ``tables``, all three read-only.  Its spectrum is the Walnut spectrum;
     its canonical dual (tight frame) is the system of S^{-1} g (S^{-1/2} g)."""
 
@@ -195,8 +194,6 @@ def _build(g, params, tables=None):
     params: every weyl_shift(g, k, l) as a conjugated row, k outer, l inner."""
     index, phases = tables = tables or _shift_tables(params)
     analysis = (np.conj(g)[index] * np.conj(phases)[:, None, :]).reshape(-1, params.length)
-    if params.length % params.mods:
-        return Frame._adopt(analysis)
     frame = _GaborFrame._adopt(analysis)
     g.flags.writeable = False
     frame._prototype, frame._params, frame._tables = g, params, tables
@@ -209,8 +206,8 @@ def _inverse_window(frame, g, root=False):
 
 
 def gabor_dual_prototype(proto, params):
-    """Dual prototype S^{-1} g of the system's own frame operator: with K | M
-    the canonical dual is its Weyl-Heisenberg system.  The spectrum of a live
+    """Dual prototype S^{-1} g of the system's own frame operator: the
+    canonical dual is its Weyl-Heisenberg system.  The spectrum of a live
     system built from the same prototype and params is reused."""
     g = _as_complex_vector(proto, params.length, "prototype")
     return _inverse_window(build_gabor_frame(g, params), g)
@@ -230,14 +227,11 @@ def verify_wh_structure(dual_frame, proto, params):
     index, phases = _shift_tables(params)
     translates = g[index]
     rows = dual_frame.analysis.reshape(params.mods, params.steps, params.length)
-    # a few modulations at a time, so no K*L x M temporary is formed; the
-    # analysis rows stand in for the vectors since |conj(a) - b| = |a - conj(b)|
-    step = max(1, CHUNK_ENTRIES // translates.size)
-    for k in range(0, params.mods, step):
-        want = np.conj(translates * phases[k : k + step, None, :])
-        if not np.all(np.abs(want - rows[k : k + step]) <= tol):
-            return False
-    return True
+    # one modulation at a time, so temporaries stay L x M; the analysis rows
+    # stand in for the vectors since |conj(a) - b| = |a - conj(b)|
+    return all(
+        np.abs(np.conj(translates * phase) - row).max() <= tol for phase, row in zip(phases, rows)
+    )
 
 
 def named_prototype(name, length):

@@ -45,6 +45,11 @@ def is_hermitian(mat):
         return True
     a = mat.astype(np.complex128)
     _prescale(a)
+    return _prescaled_is_hermitian(a)
+
+
+def _prescaled_is_hermitian(a):
+    """is_hermitian of a complex (..., n, n) stack that _prescale has scaled."""
     deviation = np.max(np.abs(a - _conj_t(a)), axis=(-2, -1))
     scale = np.max(np.abs(a), axis=(-2, -1))
     return bool(np.all(deviation <= HERMITIAN_RTOL * scale))
@@ -118,7 +123,7 @@ def jacobi_eigh(mat):
         return z.real + 0.0, np.ones(shape, dtype=np.complex128)
     a = a.reshape(-1, n, n)
     exponent = _prescale(a)  # eigenvalues are scaled back at the end
-    if not is_hermitian(a):
+    if not _prescaled_is_hermitian(a):
         raise NotHermitianError("matrix is not conjugate-symmetric")
     # exact symmetrization so rotations preserve Hermitian structure to the bit
     a = (a + _conj_t(a)) / 2.0

@@ -1,10 +1,11 @@
 """Weyl-Heisenberg systems: shift algebra, frame structure, duals.
 
-The exact composition/adjoint/commutation identities hold when the modulation
-count divides the signal length, so those tests draw configs with mods | length.
+GaborParams rejects a modulation count that does not divide the signal
+length, so every system here has mods | length.
 """
 
 import dataclasses
+import json
 import math
 import warnings
 
@@ -74,6 +75,14 @@ def test_params_validation():
         GaborParams(length=4, shift=2, mods=0)
     with pytest.raises(DimensionMismatchError):
         GaborParams(length=4.0, shift=2, mods=1)
+
+
+def test_params_reject_mods_not_dividing_length():
+    # modulation by the K-th roots of unity is a character of Z_M only when
+    # K | M; otherwise the vectors are no Weyl-Heisenberg system
+    for length, shift, mods in ((12, 2, 5), (24, 2, 9)):
+        with pytest.raises(DimensionMismatchError, match="must divide length"):
+            GaborParams(length=length, shift=shift, mods=mods)
 
 
 def test_params_reject_boolean_sizes():
@@ -391,7 +400,7 @@ def test_modulation_table_is_exactly_periodic():
     # (k, n) is entry (1, (k n) mod K) bit for bit (row 0 when K = 1), and every
     # row repeats with period K; evaluating exp(2 pi i k n / K) per entry was
     # off from the roots by up to 1.4e-13 at M = 128
-    for p in WALNUT_CONFIGS + [GaborParams(length=12, shift=2, mods=5)]:
+    for p in WALNUT_CONFIGS:
         phases = _shift_tables(p)[1]
         k, n = np.ogrid[: p.mods, : p.length]
         roots = phases[1 % p.mods]
@@ -415,7 +424,7 @@ def test_gabor_frames_are_made_only_from_a_prototype():
 
 def test_build_is_bit_identical_to_weyl_shifts():
     rng = np.random.default_rng(107)
-    for p in WALNUT_CONFIGS + [GaborParams(length=12, shift=2, mods=5)]:
+    for p in WALNUT_CONFIGS:
         g = random_proto(rng, p.length)
         rows = [np.conj(weyl_shift(g, k, l, p)) for k in range(p.mods) for l in range(p.steps)]
         assert np.array_equal(build_gabor_frame(g, p).analysis, np.array(rows))
@@ -542,19 +551,6 @@ def record_solves(monkeypatch):
     return shapes
 
 
-def test_mods_not_dividing_length_keep_the_dense_solve(monkeypatch):
-    shapes = record_solves(monkeypatch)
-    rng = np.random.default_rng(113)
-    p = GaborParams(length=12, shift=2, mods=5)
-    g = random_proto(rng, 12)
-    f = build_gabor_frame(g, p)
-    b = frame_bounds(f)
-    assert shapes == [(12, 12)]
-    w = np.linalg.eigvalsh(frame_operator(f))
-    assert abs(b.lower - w[0]) <= 1e-13 * w[-1] and abs(b.upper - w[-1]) <= 1e-13 * w[-1]
-    assert np.allclose(gabor_dual_prototype(g, p), np.linalg.solve(frame_operator(f), g), atol=1e-10)
-
-
 def test_gabor_check_solves_no_dense_operator(monkeypatch, capsys):
     from framekit import cli
 
@@ -610,15 +606,12 @@ def test_narrow_windows_keep_relative_accuracy():
 
 
 def test_chunked_block_paths_match_the_dense_oracle():
-    from framekit.gabor import CHUNK_ENTRIES
-
     rng = np.random.default_rng(151)
     p = GaborParams(length=64, shift=2, mods=32)
     g = random_proto(rng, 64)
     system = build_gabor_frame(g, p)
     # 1024 x 64: the dual and tight frames come from their prototypes, and
-    # the structure check takes several chunks
-    assert system.analysis.size >= 4 * CHUNK_ENTRIES
+    # the row check of a plain Frame takes one modulation at a time
     dense = Frame(system.analysis)
     bounds = frame_bounds(dense)
     cond = bounds.upper / bounds.lower
@@ -751,17 +744,18 @@ def test_dropped_systems_are_not_retained(monkeypatch):
     assert shapes == [(6, 1, 2, 2)]
 
 
-def test_gabor_check_of_a_dense_system_solves_once(monkeypatch, capsys):
+def test_gabor_verbs_reject_mods_not_dividing_length(capsys):
     from framekit import cli
 
-    # K = 5 does not divide M = 12: one dense 12 x 12 solve serves the bounds,
-    # the canonical dual and gabor_dual_prototype, which reads the live system
-    shapes = record_solves(monkeypatch)
-    argv = ["gabor-check", "--proto", "gaussian", "--n", "12", "--shift", "2", "--mods", "5"]
-    assert cli.run(argv) == 0
-    out = capsys.readouterr().out
-    assert '"is_frame": true' in out and '"wh_structure": false' in out
-    assert shapes == [(12, 12)]
+    # K = 5 does not divide M = 12: a typed error report on stdout, no traceback
+    for verb in ("gabor-build", "gabor-dual", "gabor-check"):
+        argv = [verb, "--proto", "gaussian", "--n", "12", "--shift", "2", "--mods", "5"]
+        assert cli.run(argv) == 1
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert report["error"] == "dimension_mismatch", verb
+        assert "must divide length" in report["detail"], verb
+        assert "Traceback" not in captured.err, verb
 
 
 def test_walnut_overflow_is_typed_and_silent():

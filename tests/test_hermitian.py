@@ -263,6 +263,28 @@ def test_stack_with_one_non_hermitian_member_raises():
         jacobi_eigh(stack)
 
 
+def test_solver_rejects_exactly_what_is_hermitian_rejects():
+    # jacobi_eigh checks the stack it has already scaled; a member made
+    # asymmetric by 0.5x or 2x HERMITIAN_RTOL of its largest entry is accepted
+    # or rejected by both alike, at any magnitude and without a warning
+    rng = np.random.default_rng(59)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (2, 3):
+            base = random_stack(rng, (4,), n)
+            for e in (-600, 0, 600):
+                for factor, accepted in ((0.5, True), (2.0, False)):
+                    stack = base * 2.0**e
+                    stack[1, 0, n - 1] += factor * hermitian.HERMITIAN_RTOL * np.abs(stack[1]).max()
+                    assert is_hermitian(stack) is accepted, (n, e, factor)
+                    try:
+                        jacobi_eigh(stack)
+                    except NotHermitianError:
+                        assert not accepted, (n, e, factor)
+                    else:
+                        assert accepted, (n, e, factor)
+
+
 def test_round_robin_steps_cover_every_pair_once():
     for n in range(1, 10):
         p, q = _round_robin(n)

@@ -127,7 +127,7 @@ def test_left_inverse_family(seed, dim):
 FRAME_VERBS = ("frame-bounds", "frame-dual", "frame-tighten", "frame-naimark", "frame-exactness")
 GABOR_VERBS = ("gabor-build", "gabor-dual", "gabor-check")
 GABOR_PARAMS = [(m, t, k) for m in (4, 6, 8, 12) for t in range(1, m + 1) if m % t == 0
-                for k in (1, 2, 3, 4, 6)]
+                for k in (1, 2, 3, 4, 6) if m % k == 0]
 
 
 def _run(argv):
