@@ -12,11 +12,12 @@ Conventions used throughout:
   threshold 1e-10 * lambda_max, which is relative, so rescaling the vectors
   never changes the answer.
 * A Frame holds its analysis matrix, read-only so nothing derived from it
-  goes stale, and decomposes S once, on first use, into Hermitian blocks, one
-  per residue class of the coordinates modulo the block count (one block for
-  a dense frame, the K Walnut blocks for a Gabor system).  Every
-  operation below reads that spectrum and applies S^{-1} or S^{-1/2} one
-  block at a time, from block powers built at most once per frame.
+  goes stale, and decomposes S once, on first use, into Hermitian blocks: one
+  block for a dense frame, the K q Zak-domain p x p blocks for a Gabor
+  system.  Every operation below reads that spectrum through the frame's
+  _apply_inverse, which applies S^{-1} or S^{-1/2}: a dense frame from its
+  inverse (root) blocks, built at most once per frame, a Gabor system through
+  the Zak domain.
 """
 
 from dataclasses import dataclass
@@ -109,9 +110,14 @@ class Frame:
         return self._spectrum
 
     def _decompose(self):
-        """S as one block; a Gabor system overrides this and _canonical."""
+        """S as one block; a Gabor system overrides this, _apply_inverse and
+        _canonical."""
         w, v = jacobi_eigh(frame_operator(self))
         return Spectrum(w[None], v[None])
+
+    def _apply_inverse(self, x, root=False):
+        """S^{-1} x for a matrix x of N rows (S^{-1/2} x with root=True)."""
+        return _inverse_power(self, root)[0] @ x
 
     def _canonical(self, root):
         """The frame S^{-1} g_k (S^{-1/2} g_k with root): T S^{-1} (T S^{-1/2})."""
@@ -143,14 +149,18 @@ class Frame:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """The frame operator as B Hermitian blocks: block b acts on the
-    coordinates b + jB, j = 0..n-1, and equals u[b] @ diag(w[b]) @ u[b]^H,
-    its eigenvalues w[b] ascending.  A dense frame is one block; a Gabor
-    system has its K Walnut blocks.  Shapes: w (B, n), u (B, n, n).
+    """The frame operator, 2^scale times Hermitian blocks u diag(w) u^H: each
+    block's eigenvalues w[..., :] are ascending and its eigenvectors are the
+    columns of u[..., :, :].  A dense frame is one block over all N
+    coordinates, w (1, N) and u (1, N, N), with scale 0.  A Gabor system has
+    its K q Zak-domain blocks, w (K, q, p) and u (K, q, p, p): Walnut block r,
+    on the coordinates r + jK, is (F kron I_p) blockdiag_b(block (r, b))
+    (F kron I_p)^H for the unitary q-point DFT F.
     """
 
     w: np.ndarray
     u: np.ndarray
+    scale: int = 0
 
 
 @dataclass(frozen=True)
@@ -233,16 +243,22 @@ def frame_bounds(frame):
     """Tightest (A, B): extreme eigenvalues of the frame operator.
 
     A is clamped at 0, so nonspanning sets report a lower bound of exactly 0
-    up to eigensolver tolerance.
+    up to eigensolver tolerance.  NumericOverflowError when the bounds leave
+    float64's range.
     """
-    w = frame.spectrum().w
+    spec = frame.spectrum()
     # max(-0.0, 0.0) is -0.0; adding +0.0 folds it into +0.0
-    return FrameBounds(lower=float(max(w.min(), 0.0)) + 0.0, upper=float(max(w.max(), 0.0)) + 0.0)
+    low, high = (max(float(x), 0.0) + 0.0 for x in (spec.w.min(), spec.w.max()))
+    if spec.scale:
+        with np.errstate(over="ignore"):
+            low, high = (float(x) for x in _checked_operator(np.ldexp([low, high], spec.scale), high > 0))
+    return FrameBounds(lower=low, upper=high)
 
 
 def _inverse_power(frame, root):
-    """Blocks u w^{-1} u^H of S^{-1} (w^{-1/2} for S^{-1/2} with root=True)
-    on the blocks of the frame's spectrum: read-only, built once per frame.
+    """Blocks u w^{-1} u^H (u w^{-1/2} u^H with root=True) on the blocks of
+    the frame's spectrum, so S^{-1} (S^{-1/2}) up to its 2^scale: read-only,
+    built once per frame.
 
     NotAFrameError unless the frame spans; NumericOverflowError when an
     entry leaves float64's range."""
@@ -251,30 +267,17 @@ def _inverse_power(frame, root):
         spec = frame.spectrum()
         low, high = spec.w.min(), spec.w.max()
         if low <= frame_threshold(high):
-            raise NotAFrameError(
-                "vectors do not span: lambda_min %.3e vs threshold %.3e"
-                % (low, frame_threshold(high))
-            )
+            with np.errstate(over="ignore"):
+                shown = np.ldexp([low, frame_threshold(high)], spec.scale)
+            _checked_operator(shown, high > 0)  # bounds outside float64's range
+            raise NotAFrameError("vectors do not span: lambda_min %.3e vs threshold %.3e" % tuple(shown))
         with np.errstate(over="ignore", invalid="ignore"):
-            scaled = spec.u * (1.0 / (np.sqrt(spec.w) if root else spec.w))[:, None, :]
+            scaled = spec.u * (1.0 / (np.sqrt(spec.w) if root else spec.w))[..., None, :]
             power = scaled @ np.swapaxes(spec.u.conj(), -1, -2)
         power = _checked_operator(power, name="inverse frame operator")
         power.flags.writeable = False
         frame._inverse_blocks[root] = power
     return power
-
-
-def _apply_inverse(frame, x, root=False):
-    """S^{-1} x for a matrix x of N rows (S^{-1/2} x with root=True).
-
-    Block b acts on the rows b + jB, a strided view of x, so no N x N
-    operator is formed; the batched product runs on the views as they are."""
-    power = _inverse_power(frame, root)
-    b, n = power.shape[:2]
-    out = np.empty(x.shape, dtype=np.complex128)
-    xb, ob = (a.reshape(n, b, -1).swapaxes(0, 1) for a in (x, out))
-    np.matmul(power, xb, out=ob)
-    return out
 
 
 def canonical_dual(frame):
@@ -284,7 +287,7 @@ def canonical_dual(frame):
 
 def pseudo_inverse(frame):
     """Moore-Penrose left inverse (S^{-1} T^H) of the analysis matrix."""
-    return _apply_inverse(frame, frame.analysis.conj().T)
+    return frame._apply_inverse(frame.analysis.conj().T)
 
 
 def left_inverse(frame, free_param=None):

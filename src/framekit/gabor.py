@@ -20,18 +20,30 @@ each Walnut block is block-circulant with p x p blocks, p = T / gcd(T, K), and
 a unitary DFT of length q = (M/K) / p block-diagonalises it (the Zak-domain
 picture of Zibulski and Zeevi).  Frames built here are Gabor frames (a private
 class): they solve those K q blocks of p x p in one stacked Jacobi call, keep
-the Walnut blocks as their spectrum and form no M x M matrix; as S commutes
-with every system shift, their canonical dual and tight frame are the Gabor
-frames of S^{-1} g and S^{-1/2} g, which verify_wh_structure checks by
-prototype.
+them as their spectrum and form no M x M matrix.  S^{-1} and S^{-1/2} act
+through the Zak domain (the DFT of each residue class, the p x p blocks, the
+inverse DFT), and S^{-1} g and S^{-1/2} g are computed at most once per frame.
+As S commutes with every system shift, the canonical dual and tight frame are
+the Gabor frames of those two windows, which verify_wh_structure checks by
+prototype.  The blocks are formed from g 2^-e, e the exponent of g's largest
+real or imaginary part, and the windows are scaled back exactly, so
+rescaling g by a power of two rescales S^{-1} g by its inverse and leaves
+S^{-1/2} g as it is, bit for bit, even where S itself leaves float64's range.
 
 A built system is shared: while a caller holds the frame of a prototype and
 params, build_gabor_frame (and so gabor_dual_prototype) returns that frame and
-reads its spectrum instead of building and solving again.
+reads its spectrum and windows instead of building and solving again.  The
+tables of a lattice (its plan) are shared too: a system hands its plan to its
+dual and tight frames, and the plans of the 16 most recently used lattices
+whose systems hold at most 2^17 entries are kept, each under 4.2 MB (at
+M = 362, T = K = 1), so under 68 MB in all; other lattices get a plan per
+system.
 """
 
+import functools
 import math
 import weakref
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,11 +53,11 @@ from .frames import (
     FRAME_RTOL,
     Frame,
     Spectrum,
-    _apply_inverse,
     _as_complex_vector,
     _check_frame_shape,
     _check_integers,
     _checked_operator,
+    _inverse_power,
 )
 from .hermitian import jacobi_eigh
 
@@ -116,52 +128,52 @@ def weyl_matrix(k, l, params):
     return shifted * _modulations(k, params.length, params.mods)[:, None]
 
 
-def _shift_tables(params):
-    """Read-only L x M translate index, g[index][l, n] = g[n - lT], and K x M
-    phases: row (k, l) of the system is g[index][l] * phases[k].  A Gabor frame
-    keeps them and hands them on to its dual and tight frames."""
-    n = np.arange(params.length)
-    shifts = params.shift * np.arange(params.steps)
-    index = (n[None, :] - shifts[:, None]) % params.length
-    phases = _modulations(np.arange(params.mods)[:, None], params.length, params.mods)
-    index.flags.writeable = phases.flags.writeable = False
-    return index, phases
+# The read-only tables of one lattice: the L x M translate index,
+# g[index][l, n] = g[n - lT]; the K x M conjugated phases, so row (k, l) of the
+# analysis matrix is conj(g)[index][l] * phases[k]; the K x M/K x L Walnut
+# gather, g[gather][r, j, l] = g[r + jK - lT]; and the unscaled q x q DFT,
+# dft[a, b] = exp(-2 pi i a b / q).
+_Plan = namedtuple("_Plan", "index phases gather dft")
+# Plans kept for lattices whose system has at most this many entries; see the
+# module docstring for the memory this bounds.
+_PLAN_COUNT = 16
+_PLAN_ENTRIES = 2**17
 
 
-def _walnut_spectrum(g, params, index):
-    """The Spectrum of S as its K Walnut blocks (K | M; index of _shift_tables).
+def _make_plan(params):
+    m, k = params.length, params.mods
+    n = np.arange(m)
+    index = (n[None, :] - params.shift * np.arange(params.steps)[:, None]) % m
+    gather = np.ascontiguousarray(index.T.reshape(m // k, k, -1).swapaxes(0, 1))
+    q = m // math.lcm(params.shift, k)
+    plan = _Plan(
+        index,
+        np.conj(_modulations(np.arange(k)[:, None], m, k)),
+        gather,
+        np.conj(_modulations(np.arange(q)[:, None], q, q)),
+    )
+    for arr in plan:
+        arr.flags.writeable = False
+    return plan
 
-    Block r acts on the residue class r + jK.  Moving j by p = T / gcd(T, K)
-    moves the coordinates by a multiple of T, a shift of the system, so each
-    block is block-circulant with q = (M/K) / p blocks of p x p.  The unitary
-    length-q DFT F along those blocks turns it into q independent p x p
-    blocks, all K q of them solved in one stacked jacobi_eigh call; block r
-    keeps the eigenvectors (F kron I_p) blockdiag(v), eigenvalues ascending.
-    """
-    m, k, t = params.length, params.mods, params.shift
-    size = m // k
-    p = t // math.gcd(t, k)
-    q = size // p
-    # cols[r, j, l] = g[r + jK - lT], the translates on the residue class r
-    cols = g[index.T.reshape(size, k, -1).swapaxes(0, 1)]
-    # the DFT unscaled, so its 1/q is one division of the blocks
-    f = _modulations(np.arange(q)[:, None], q, q)
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = (np.conj(f) @ cols.reshape(k, q, -1)).reshape(k, q, p, -1)
-        blocks = _checked_operator(k * (y @ np.conj(np.swapaxes(y, -1, -2))) / q, g.any())
-    w, v = jacobi_eigh(blocks)
-    w = w.reshape(k, size)
-    # u[r, (a, s), (b, s')] = f[a, b] v[r, b, s, s'] / sqrt(q)
-    u = (f / math.sqrt(q))[:, None, :, None] * np.swapaxes(v, 1, 2)[:, None]
-    u = u.reshape(k, size, size)
-    order = np.argsort(w, axis=-1, kind="stable")
-    r = np.arange(k)[:, None]
-    return Spectrum(w[r, order], u[r[:, :, None], np.arange(size)[:, None], order[:, None, :]])
+
+_cached_plan = functools.lru_cache(maxsize=_PLAN_COUNT)(_make_plan)
+
+
+def _plan(params):
+    """The _Plan of params, from the bounded cache for a small lattice."""
+    small = params.count * params.length <= _PLAN_ENTRIES
+    return (_cached_plan if small else _make_plan)(params)
+
+
+def _ldexp(z, e):
+    """z 2^e for a complex array z: exact while the result stays normal."""
+    return np.ldexp(np.ascontiguousarray(z).view(np.float64), e).view(np.complex128)
 
 
 def build_gabor_frame(proto, params):
     """Gabor frame of all K*L translates-modulates of the prototype, k outer,
-    decomposed by its Walnut blocks.  While a frame built from the
+    decomposed by its Zak-domain blocks.  While a frame built from the
     bit-identical prototype and equal params is alive, that same frame is
     returned.
     """
@@ -174,43 +186,84 @@ def build_gabor_frame(proto, params):
 
 
 class _GaborFrame(Frame):
-    """The system of ``prototype`` under ``params`` from their
-    ``tables``, all three read-only.  Its spectrum is the Walnut spectrum;
+    """The system of ``prototype`` under ``params`` from the lattice's
+    ``plan``, all three read-only.  Its spectrum is the Zak-domain blocks;
     its canonical dual (tight frame) is the system of S^{-1} g (S^{-1/2} g)."""
 
     prototype = property(lambda self: self._prototype)
     params = property(lambda self: self._params)
-    tables = property(lambda self: self._tables)
+    plan = property(lambda self: self._plan)
 
     def _decompose(self):
-        return _walnut_spectrum(self.prototype, self.params, self.tables[0])
+        """The Spectrum of S as K q blocks of p x p, shapes (K, q, p) and
+        (K, q, p, p): the blocks of the frame operator of g 2^-e, with
+        scale 2e.
+
+        Walnut block r acts on the residue class r + jK.  Moving j by
+        p = T / gcd(T, K) moves the coordinates by a multiple of T, a shift of
+        the system, so each block is block-circulant with q = (M/K) / p blocks
+        of p x p.  The unitary length-q DFT F along those blocks turns it into
+        q independent p x p blocks: B_r = (F kron I_p) blockdiag_b(block (r, b))
+        (F kron I_p)^H, all K q of them solved in one stacked jacobi_eigh call.
+        """
+        g, plan = self.prototype, self.plan
+        e = math.frexp(np.abs(g.view(np.float64)).max())[1] - 1
+        # cols[r, j, l] = g[r + jK - lT] 2^-e, the translates on residue class r
+        cols = (_ldexp(g, -e) if e else g)[plan.gather]
+        k, size, _ = cols.shape
+        q = len(plan.dft)
+        y = (plan.dft @ cols.reshape(k, q, -1)).reshape(k, q, size // q, -1)
+        w, v = jacobi_eigh(k * (y @ np.conj(np.swapaxes(y, -1, -2))) / q)
+        return Spectrum(w, v, 2 * e)
+
+    def _apply_inverse(self, x, root=False):
+        """S^{-1} x (S^{-1/2} x with root) for a matrix x of M rows: the DFT
+        of each residue class, the p x p blocks of the inverse (root), the
+        inverse DFT.  With S = 4^e S_h, S^{-1} x = 2^-e S_h^{-1} (2^-e x) and
+        S^{-1/2} x = S_h^{-1/2} (2^-e x)."""
+        power = _inverse_power(self, root)
+        k, q, p = power.shape[:3]
+        e = self.spectrum().scale // 2
+        m, c = x.shape
+        # row r + jK of x, j = a p + s, is xr[r, a, (s, c)]
+        xr = (_ldexp(x, -e) if e else x).reshape(m // k, k, c).swapaxes(0, 1).reshape(k, q, -1)
+        z = power @ (self.plan.dft @ xr).reshape(k, q, p, c)
+        out = (np.conj(self.plan.dft) @ z.reshape(k, q, -1) / q).reshape(k, -1, c)
+        out = out.swapaxes(0, 1).reshape(m, c)
+        if e and not root:  # the only step that can leave float64's range
+            with np.errstate(over="ignore"):
+                out = _checked_operator(_ldexp(out, -e), nonzero=False, name="inverse frame operator")
+        return out
+
+    def _window(self, root):
+        """S^{-1} g (S^{-1/2} g with root), read-only, computed once per frame."""
+        window = self._windows.get(root)
+        if window is None:
+            window = self._apply_inverse(self.prototype[:, None], root)[:, 0]
+            window.flags.writeable = False
+            self._windows[root] = window
+        return window
 
     def _canonical(self, root):
-        return _build(_inverse_window(self, self.prototype, root), self.params, self.tables)
+        return _build(self._window(root), self.params, self.plan)
 
 
-def _build(g, params, tables=None):
-    """The system of g, a prototype no caller holds, from the _shift_tables of
-    params: every weyl_shift(g, k, l) as a conjugated row, k outer, l inner."""
-    index, phases = tables = tables or _shift_tables(params)
-    analysis = (np.conj(g)[index] * np.conj(phases)[:, None, :]).reshape(-1, params.length)
+def _build(g, params, plan=None):
+    """The system of g, a prototype no caller holds, from the _Plan of params:
+    every weyl_shift(g, k, l) as a conjugated row, k outer, l inner."""
+    plan = plan or _plan(params)
+    analysis = (np.conj(g)[plan.index] * plan.phases[:, None, :]).reshape(-1, params.length)
     frame = _GaborFrame._adopt(analysis)
     g.flags.writeable = False
-    frame._prototype, frame._params, frame._tables = g, params, tables
+    frame._prototype, frame._params, frame._plan, frame._windows = g, params, plan, {}
     return frame
-
-
-def _inverse_window(frame, g, root=False):
-    """S^{-1} g (S^{-1/2} g with root) for the frame operator S of frame."""
-    return _apply_inverse(frame, g[:, None], root)[:, 0]
 
 
 def gabor_dual_prototype(proto, params):
     """Dual prototype S^{-1} g of the system's own frame operator: the
-    canonical dual is its Weyl-Heisenberg system.  The spectrum of a live
+    canonical dual is its Weyl-Heisenberg system.  The window of a live
     system built from the same prototype and params is reused."""
-    g = _as_complex_vector(proto, params.length, "prototype")
-    return _inverse_window(build_gabor_frame(g, params), g)
+    return build_gabor_frame(proto, params)._window(False).copy()
 
 
 def verify_wh_structure(dual_frame, proto, params):
@@ -224,13 +277,13 @@ def verify_wh_structure(dual_frame, proto, params):
     tol = FRAME_RTOL * np.abs(g).max()
     if isinstance(dual_frame, _GaborFrame) and dual_frame.params == params:
         return bool(np.abs(dual_frame.prototype - g).max() <= tol)
-    index, phases = _shift_tables(params)
-    translates = g[index]
+    plan = _plan(params)
+    translates = np.conj(g)[plan.index]
     rows = dual_frame.analysis.reshape(params.mods, params.steps, params.length)
-    # one modulation at a time, so temporaries stay L x M; the analysis rows
-    # stand in for the vectors since |conj(a) - b| = |a - conj(b)|
+    # row block k of the system's analysis matrix is conj(g)[index] * phases[k]:
+    # one modulation at a time, so temporaries stay L x M
     return all(
-        np.abs(np.conj(translates * phase) - row).max() <= tol for phase, row in zip(phases, rows)
+        np.abs(translates * phase - row).max() <= tol for phase, row in zip(plan.phases, rows)
     )
 
 

@@ -13,6 +13,8 @@ solved at a power-of-two scale with its largest entry in [0.5, 1), which is
 exact, so results do not depend on the input's magnitude.
 """
 
+import functools
+
 import numpy as np
 
 from .errors import (
@@ -73,8 +75,10 @@ def off_diagonal_mass(mat):
     return np.linalg.norm(mat[..., ~np.eye(n, dtype=bool)], axis=-1)
 
 
+@functools.lru_cache(maxsize=16)
 def _round_robin(n):
-    """Index pairs of one round-robin sweep: rows p[i], q[i] (p < q) of step i.
+    """Index pairs of one round-robin sweep: rows p[i], q[i] (p < q) of step i,
+    read-only and built once per n (for the 16 most recent n).
 
     The circle method: index 0 stays put while the others move one place per
     step, so in n - 1 steps (n even) every pair meets once.  Odd n adds a
@@ -87,7 +91,9 @@ def _round_robin(n):
     ends = np.stack([ring[:, : m // 2], ring[:, ::-1][:, : m // 2]])
     p, q = ends.min(axis=0), ends.max(axis=0)
     real = q < n
-    return p[real].reshape(m - 1, -1), q[real].reshape(m - 1, -1)
+    p, q = p[real].reshape(m - 1, -1), q[real].reshape(m - 1, -1)
+    p.flags.writeable = q.flags.writeable = False
+    return p, q
 
 
 def jacobi_eigh(mat):
@@ -179,6 +185,6 @@ def jacobi_eigh(mat):
     if not np.isfinite(w).all():
         raise NumericOverflowError("eigenvalues overflow: too large for float64")
     order = np.argsort(w, axis=-1, kind="stable")
-    w = np.take_along_axis(w, order, axis=-1)
-    v = np.take_along_axis(av[:, n:], order[:, None, :], axis=-1)
+    r = np.arange(len(w))[:, None]
+    w, v = w[r, order], av[:, n:][r[:, :, None], diag[:, None], order[:, None, :]]
     return w.reshape(shape[:-1]), v.reshape(shape)

@@ -33,7 +33,7 @@ from framekit.frames import FRAME_RTOL
 from framekit.gabor import (
     MAX_GABOR_ENTRIES,
     GaborParams,
-    _shift_tables,
+    _plan,
     build_gabor_frame,
     gabor_dual_prototype,
     named_prototype,
@@ -401,7 +401,7 @@ def test_modulation_table_is_exactly_periodic():
     # row repeats with period K; evaluating exp(2 pi i k n / K) per entry was
     # off from the roots by up to 1.4e-13 at M = 128
     for p in WALNUT_CONFIGS:
-        phases = _shift_tables(p)[1]
+        phases = np.conj(_plan(p).phases)
         k, n = np.ogrid[: p.mods, : p.length]
         roots = phases[1 % p.mods]
         assert phases.tobytes() == roots[k * n % p.mods].tobytes(), p
@@ -431,13 +431,21 @@ def test_build_is_bit_identical_to_weyl_shifts():
 
 
 def block_operator(spec):
-    """The dense N x N operator that a Spectrum's blocks describe."""
-    b, n = spec.w.shape
-    index = np.arange(b)[:, None] + b * np.arange(n)  # block b holds b + jB
+    """The dense M x M operator that a Gabor Spectrum's Zak-domain blocks
+    describe: Walnut block r, on the coordinates r + jK, is
+    (F kron I_p) blockdiag_b(block (r, b)) (F kron I_p)^H, F the unitary
+    q-point DFT."""
+    k, q, p = spec.w.shape
+    blocks = np.ldexp(1.0, spec.scale) * (spec.u * spec.w[..., None, :]) @ np.conj(np.swapaxes(spec.u, -1, -2))
+    f = np.exp(2j * np.pi * np.outer(np.arange(q), np.arange(q)) / q) / np.sqrt(q)
+    unitary = np.kron(f, np.eye(p))
+    index = np.arange(k)[:, None] + k * np.arange(q * p)  # block r holds r + jK
     s = np.zeros((index.size, index.size), dtype=complex)
-    s[index[:, :, None], index[:, None, :]] = (spec.u * spec.w[:, None, :]) @ np.conj(
-        np.swapaxes(spec.u, -1, -2)
-    )
+    for r in range(k):
+        diag = np.zeros((q * p, q * p), dtype=complex)
+        for b in range(q):
+            diag[b * p : (b + 1) * p, b * p : (b + 1) * p] = blocks[r, b]
+        s[np.ix_(index[r], index[r])] = unitary @ diag @ np.conj(unitary.T)
     return s
 
 
@@ -450,15 +458,13 @@ def test_walnut_spectrum_matches_dense_path():
         s = frame_operator(dense)
         scale = np.linalg.norm(s)
         spec = walnut.spectrum()
-        size = p.length // p.mods
-        # block r is the residue class r + jK, its eigenvalues ascending
-        assert spec.w.shape == (p.mods, size) and spec.u.shape == (p.mods, size, size)
+        k, q, block = zak_shape(p)[:3]
+        # the K q Zak-domain p x p blocks, each with its eigenvalues ascending
+        assert spec.w.shape == (k, q, block) and spec.u.shape == (k, q, block, block)
         assert np.all(np.diff(spec.w, axis=-1) >= 0)
-        assert np.max(np.abs(np.conj(np.swapaxes(spec.u, -1, -2)) @ spec.u - np.eye(size))) <= 1e-13
-        b = len(spec.w)
-        want = np.arange(p.mods)[:, None] + p.mods * np.arange(size)
-        assert np.array_equal(np.arange(b)[:, None] + b * np.arange(size), want)
-        assert np.max(np.abs(np.sort(spec.w, axis=None) - np.linalg.eigvalsh(s))) <= 1e-13 * scale
+        assert np.max(np.abs(np.conj(np.swapaxes(spec.u, -1, -2)) @ spec.u - np.eye(block))) <= 1e-13
+        w = np.ldexp(spec.w, spec.scale)
+        assert np.max(np.abs(np.sort(w, axis=None) - np.linalg.eigvalsh(s))) <= 1e-13 * scale
         assert np.linalg.norm(block_operator(spec) - s) <= 1e-12 * scale
         wb, db = frame_bounds(walnut), frame_bounds(dense)
         assert abs(wb.lower - db.lower) <= 1e-13 * scale
@@ -523,6 +529,8 @@ def test_block_operators_match_the_dense_oracle():
         check(profile.diagonal, want.diagonal)
         assert profile.classification == want.classification
         check(gabor_dual_prototype(g, p), canonical_dual(dense).vectors[0])
+        # the Gabor frame took the Zak route: its only inverse blocks are p x p
+        assert {b.shape for b in walnut._inverse_blocks.values()} == {zak_shape(p)}, p
     assert spanning >= len(WALNUT_CONFIGS) // 2
 
 
@@ -576,7 +584,8 @@ def test_each_walnut_spectrum_is_one_stacked_p_by_p_solve(monkeypatch):
 
 def test_unit_dft_spectrum_is_the_plain_walnut_solve():
     # q = 1: the DFT is the 1 x 1 identity, so the arithmetic is that of
-    # jacobi_eigh on the Walnut blocks themselves, bit for bit
+    # jacobi_eigh on the Walnut blocks themselves (of g 2^-e, which scales
+    # them exactly), bit for bit
     rng = np.random.default_rng(163)
     configs = [p for p in WALNUT_CONFIGS if zak_shape(p)[1] == 1]
     assert len(configs) >= 4
@@ -584,7 +593,8 @@ def test_unit_dft_spectrum_is_the_plain_walnut_solve():
         g = random_proto(rng, p.length)
         spec = build_gabor_frame(g, p).spectrum()
         w, v = jacobi_eigh(walnut_blocks(g, p))
-        assert np.array_equal(spec.w, w) and np.array_equal(spec.u, v), p
+        assert np.array_equal(np.ldexp(spec.w[:, 0], spec.scale), w), p
+        assert np.array_equal(spec.u[:, 0], v), p
 
 
 def test_narrow_windows_keep_relative_accuracy():
@@ -602,7 +612,7 @@ def test_narrow_windows_keep_relative_accuracy():
         w = jacobi_eigh(walnut_blocks(g.astype(complex), p))[0]
         assert low < w.max() / w.min() < high, p
         spec = build_gabor_frame(g, p).spectrum()
-        assert abs(spec.w.min() - w.min()) <= 1e-13 * w.min(), p
+        assert abs(np.ldexp(spec.w.min(), spec.scale) - w.min()) <= 1e-13 * w.min(), p
 
 
 def test_chunked_block_paths_match_the_dense_oracle():
@@ -649,16 +659,32 @@ def test_gabor_dual_is_the_system_of_its_prototype():
         cond = bounds.upper / bounds.lower
         err = np.max(np.abs(tight.analysis - conjugated_system(root, p)))
         assert err <= 1e-12 * cond * np.max(np.abs(tight.analysis)), p
-        # both are Gabor frames of the same params, with Walnut spectra
+        # both are Gabor frames of the same params, with Zak-domain spectra
         for frame in (dual, tight):
             assert frame_bounds(frame).spans()
-            assert frame.spectrum().w.shape == (p.mods, p.length // p.mods)
+            assert frame.spectrum().w.shape == zak_shape(p)[:3]
         check = np.max(np.abs(range_projection(system) - range_projection(dense)))
         assert check <= 1e-12 * cond, p
         profile, want = exactness_profile(system), exactness_profile(dense)
         assert np.max(np.abs(profile.diagonal - want.diagonal)) <= 1e-12 * cond, p
         assert profile.classification == want.classification
     assert spanning >= len(WALNUT_CONFIGS) // 2
+
+
+def record_inverses(monkeypatch):
+    """(shape of x, root) of every S^{-1} x or S^{-1/2} x a Gabor frame applies."""
+    import framekit.gabor
+
+    cls = framekit.gabor._GaborFrame
+    apply = cls._apply_inverse
+    applied = []
+
+    def recording(self, x, root=False):
+        applied.append((np.shape(x), root))
+        return apply(self, x, root)
+
+    monkeypatch.setattr(cls, "_apply_inverse", recording)
+    return applied
 
 
 def test_gabor_check_forms_the_inverse_blocks_once(monkeypatch, capsys):
@@ -669,26 +695,40 @@ def test_gabor_check_forms_the_inverse_blocks_once(monkeypatch, capsys):
     formed = []
 
     def recording(s, *args, **kwargs):
-        if kwargs.get("name") == "inverse frame operator":
+        if kwargs.get("name") == "inverse frame operator" and np.ndim(s) == 4:
             formed.append(np.shape(s))
         return checked(s, *args, **kwargs)
 
-    window = framekit.gabor._inverse_window
-    windows = []
-
-    def applying(*args):
-        windows.append(args[2:])
-        return window(*args)
-
     monkeypatch.setattr(framekit.frames, "_checked_operator", recording)
-    monkeypatch.setattr(framekit.gabor, "_inverse_window", applying)
+    applied = record_inverses(monkeypatch)
     argv = ["gabor-check", "--proto", "gaussian", "--n", "48", "--shift", "4", "--mods", "12"]
     assert cli.run(argv) == 0
     assert '"wh_structure": true' in capsys.readouterr().out
-    # the 12 blocks of S^{-1} are formed once and applied once, to g, by
-    # canonical_dual; the structure check reads that dual's prototype
-    assert formed == [(12, 4, 4)]
-    assert windows == [(False,)]
+    # the 12 x 4 Zak-domain 1 x 1 blocks of S^{-1} are formed once, and S^{-1}
+    # is applied once, to g, by canonical_dual; the structure check reads that
+    # dual's prototype
+    assert formed == [(12, 4, 1, 1)]
+    assert applied == [((48, 1), False)]
+
+
+def test_each_window_is_computed_once_per_frame(monkeypatch):
+    rng = np.random.default_rng(191)
+    p = GaborParams(length=48, shift=6, mods=8)
+    g = random_proto(rng, 48)
+    applied = record_inverses(monkeypatch)
+    system = build_gabor_frame(g, p)
+    # the benchmark's gabor job: the dual prototype, then the canonical dual
+    gd = gabor_dual_prototype(g, p)
+    dual = canonical_dual(system)
+    assert np.array_equal(dual.prototype, gd) and dual.prototype is not gd
+    for _ in range(2):
+        gabor_dual_prototype(g, p)
+        canonical_dual(system)
+        tighten(system)
+    assert applied == [((48, 1), False), ((48, 1), True)]
+    # the dual prototype is the caller's own array; the frame's window is not
+    gd[0] = 0.0
+    assert dual.prototype[0] != 0.0
 
 
 def test_dual_prototype_reuses_the_live_system(monkeypatch):
@@ -765,7 +805,7 @@ def test_walnut_overflow_is_typed_and_silent():
         warnings.simplefilter("error")
         with pytest.raises(NumericOverflowError):
             frame_bounds(system)
-        # the live system is shared: its failed solve is retried, not cached
+        # the vectors do not span, and the bounds that would show it overflow
         with pytest.raises(NumericOverflowError):
             gabor_dual_prototype(np.full(8, 1e200), params)
 
@@ -786,15 +826,26 @@ def test_gabor_frames_are_freed_by_reference_counting():
         frame_bounds(system)
         dual, tight = canonical_dual(system), tighten(system)
         frame_bounds(dual)
-        # the dual and tight frames share the system's tables
-        assert dual.tables is tight.tables is system.tables
-        refs = [weakref.ref(f) for f in (system, dual, tight, *system.tables)]
+        # the dual and tight frames share the system's plan
+        assert dual.plan is tight.plan is system.plan
+        refs = [weakref.ref(f) for f in (system, dual, tight)]
         del system, dual, tight
         # no reference cycle or cache holds them: they go without the collector
-        assert [r() for r in refs] == [None] * 5
+        assert [r() for r in refs] == [None] * 3
         assert len(framekit.gabor._live_systems) == 0
     finally:
         gc.enable()
+    # the plan cache holds plans, no frame, of at most 16 small lattices
+    cache = framekit.gabor._cached_plan
+    cache.cache_clear()
+    for m in range(1, 41):
+        frame_bounds(build_gabor_frame(np.ones(m), GaborParams(length=m, shift=1, mods=1)))
+    assert cache.cache_info().currsize == 16
+    small = GaborParams(length=362, shift=1, mods=1)  # 362^2 <= 2^17 entries
+    large = GaborParams(length=363, shift=1, mods=1)
+    assert framekit.gabor._plan(small) is framekit.gabor._plan(small)
+    assert framekit.gabor._plan(large) is not framekit.gabor._plan(large)
+    assert sum(a.nbytes for a in framekit.gabor._plan(small)) < 4.2e6
 
 
 def test_gabor_frames_hold_read_only_attributes():
@@ -807,12 +858,36 @@ def test_gabor_frames_hold_read_only_attributes():
     assert len({system, dual, build_gabor_frame(g, p)}) == 2
     for frame in (system, dual, tighten(system)):
         assert frame.params == p
-        for name in ("analysis", "prototype", "params", "tables"):
+        for name in ("analysis", "prototype", "params", "plan"):
             with pytest.raises(AttributeError):
                 setattr(frame, name, getattr(frame, name))
         with pytest.raises(ValueError):
             frame.prototype[0] = 0.0
     assert np.array_equal(system.prototype, g)
+
+
+def test_windows_rescale_exactly():
+    # the blocks are formed from g 2^-e, so at scales where S under- or
+    # overflows the windows are still exact: S^{-1} g scales by 2^-e and
+    # S^{-1/2} g not at all, bit for bit; the bounds still overflow
+    rng = np.random.default_rng(193)
+    spanning = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in WALNUT_CONFIGS:
+            g = random_proto(rng, p.length)
+            if not frame_bounds(build_gabor_frame(g, p)).spans():
+                continue
+            spanning += 1
+            dual, tight = gabor_dual_prototype(g, p), tighten(build_gabor_frame(g, p)).prototype
+            for e in (-600, 600):
+                scaled = build_gabor_frame(g * 2.0**e, p)
+                assert np.array_equal(gabor_dual_prototype(g * 2.0**e, p), dual * 2.0**-e), (p, e)
+                assert np.array_equal(canonical_dual(scaled).prototype, dual * 2.0**-e), (p, e)
+                assert np.array_equal(tighten(scaled).prototype, tight), (p, e)
+                with pytest.raises(NumericOverflowError):
+                    frame_bounds(scaled)
+    assert spanning >= len(WALNUT_CONFIGS) // 2
 
 
 def test_both_routes_of_the_structure_check_agree():
@@ -861,9 +936,13 @@ def test_gabor_check_evaluates_the_phases_once(monkeypatch, capsys):
         return modulations(k, length, mods)
 
     monkeypatch.setattr(framekit.gabor, "_modulations", recording)
+    cache = framekit.gabor._cached_plan
+    cache.cache_clear()
     argv = ["gabor-check", "--proto", "gaussian", "--n", "48", "--shift", "4", "--mods", "12"]
-    assert cli.run(argv) == 0
-    assert '"wh_structure": true' in capsys.readouterr().out
-    # the build, the dual's build and the structure check share one K x M
-    # table; the other one is the q x q Zak-domain DFT of the Walnut blocks
+    for _ in range(2):
+        assert cli.run(argv) == 0
+        assert '"wh_structure": true' in capsys.readouterr().out
+    # the builds and the structure checks of both calls share one plan, made
+    # once: its K x M phases and the q x q Zak-domain DFT of the Walnut blocks
     assert tables == [(48, 12), (4, 4)]
+    assert (cache.cache_info().misses, cache.cache_info().currsize) == (1, 1)

@@ -13,18 +13,22 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framekit import (
     Frame,
+    NotAFrameError,
     canonical_dual,
     cli,
     frame_bounds,
+    frame_operator,
     is_left_inverse,
     left_inverse,
     unitary_transform,
 )
+from framekit.gabor import GaborParams, build_gabor_frame, gabor_dual_prototype
 from framekit.hermitian import OFF_TOLERANCE
 from framekit.serialization import dumps_report, matrix_to_json
 
@@ -122,6 +126,35 @@ def test_left_inverse_family(seed, dim):
     assert is_left_inverse(f, left, tol=tol)
     again = left_inverse(f, left).matrix
     assert np.max(np.abs(again - left)) <= tol / np.sqrt(b.lower)
+
+
+def _divisors(m):
+    return [d for d in range(1, m + 1) if m % d == 0]
+
+
+# (M, T, K) with T | M and K | M, at least as many vectors K M / T as M
+lattices = st.integers(min_value=1, max_value=48).flatmap(
+    lambda m: st.tuples(st.just(m), st.sampled_from(_divisors(m)), st.sampled_from(_divisors(m)))
+).filter(lambda mtk: mtk[2] >= mtk[1])
+
+
+@PROPERTY
+@given(seeds, lattices, st.integers(min_value=-200, max_value=200))
+def test_gabor_dual_window_solves_the_frame_operator(seed, lattice, k):
+    m, t, mods = lattice
+    params = GaborParams(length=m, shift=t, mods=mods)
+    rng = np.random.default_rng(seed)
+    g = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * 2.0**k
+    system = build_gabor_frame(g, params)
+    bounds = frame_bounds(system)
+    if not bounds.spans():
+        with pytest.raises(NotAFrameError):
+            gabor_dual_prototype(g, params)
+        return
+    # the Zak-domain window against a dense solve with the oracle's S
+    want = np.linalg.solve(frame_operator(Frame(system.analysis)), g)
+    tol = 1e-12 * (bounds.upper / bounds.lower) * np.max(np.abs(want))
+    assert np.max(np.abs(gabor_dual_prototype(g, params) - want)) <= tol
 
 
 FRAME_VERBS = ("frame-bounds", "frame-dual", "frame-tighten", "frame-naimark", "frame-exactness")
