@@ -370,7 +370,9 @@ def run(argv=None):
     except DomainError as exc:
         print(dumps_report({"error": exc.code, "detail": str(exc)}))
         return 1
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except BrokenPipeError:
+        raise  # main silences the closed stdout
+    except OSError as exc:  # a path that cannot be read or written, a full disk
         print(dumps_report({"error": "file_not_found", "detail": str(exc)}))
         return 1
     return 0

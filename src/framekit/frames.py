@@ -16,8 +16,8 @@ Conventions used throughout:
   block for a dense frame, the K q Zak-domain p x p blocks for a Gabor
   system.  Every operation below reads that spectrum through the frame's
   _apply_inverse, which applies S^{-1} or S^{-1/2}: a dense frame from its
-  inverse (root) blocks, built at most once per frame, a Gabor system through
-  the Zak domain.
+  inverse (root) block, a Gabor system through the Zak domain.  Those
+  inverse blocks are formed from the cached spectrum on each call.
 """
 
 from dataclasses import dataclass
@@ -98,7 +98,7 @@ class Frame:
 
     def _hold(self, arr):
         arr.flags.writeable = False
-        self._analysis, self._spectrum, self._inverse_blocks = arr, None, {}
+        self._analysis, self._spectrum = arr, None
 
     def spectrum(self):
         """The frame operator's Spectrum, read-only, computed on first use."""
@@ -257,27 +257,21 @@ def frame_bounds(frame):
 
 def _inverse_power(frame, root):
     """Blocks u w^{-1} u^H (u w^{-1/2} u^H with root=True) on the blocks of
-    the frame's spectrum, so S^{-1} (S^{-1/2}) up to its 2^scale: read-only,
-    built once per frame.
+    the frame's spectrum, so S^{-1} (S^{-1/2}) up to its 2^scale.
 
     NotAFrameError unless the frame spans; NumericOverflowError when an
     entry leaves float64's range."""
-    power = frame._inverse_blocks.get(root)
-    if power is None:
-        spec = frame.spectrum()
-        low, high = spec.w.min(), spec.w.max()
-        if low <= frame_threshold(high):
-            with np.errstate(over="ignore"):
-                shown = np.ldexp([low, frame_threshold(high)], spec.scale)
-            _checked_operator(shown, high > 0)  # bounds outside float64's range
-            raise NotAFrameError("vectors do not span: lambda_min %.3e vs threshold %.3e" % tuple(shown))
-        with np.errstate(over="ignore", invalid="ignore"):
-            scaled = spec.u * (1.0 / (np.sqrt(spec.w) if root else spec.w))[..., None, :]
-            power = scaled @ np.swapaxes(spec.u.conj(), -1, -2)
-        power = _checked_operator(power, name="inverse frame operator")
-        power.flags.writeable = False
-        frame._inverse_blocks[root] = power
-    return power
+    spec = frame.spectrum()
+    low, high = spec.w.min(), spec.w.max()
+    if low <= frame_threshold(high):
+        with np.errstate(over="ignore"):
+            shown = np.ldexp([low, frame_threshold(high)], spec.scale)
+        _checked_operator(shown, high > 0)  # bounds outside float64's range
+        raise NotAFrameError("vectors do not span: lambda_min %.3e vs threshold %.3e" % tuple(shown))
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = spec.u * (1.0 / (np.sqrt(spec.w) if root else spec.w))[..., None, :]
+        power = scaled @ np.swapaxes(spec.u.conj(), -1, -2)
+    return _checked_operator(power, name="inverse frame operator")
 
 
 def canonical_dual(frame):

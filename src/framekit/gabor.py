@@ -35,8 +35,8 @@ params, build_gabor_frame (and so gabor_dual_prototype) returns that frame and
 reads its spectrum and windows instead of building and solving again.  The
 tables of a lattice (its plan) are shared too: a system hands its plan to its
 dual and tight frames, and the plans of the 16 most recently used lattices
-whose systems hold at most 2^17 entries are kept, each under 4.2 MB (at
-M = 362, T = K = 1), so under 68 MB in all; other lattices get a plan per
+whose systems hold at most 2^17 entries are kept, each under 3.2 MB (at
+M = 362, T = K = 1), so under 51 MB in all; other lattices get a plan per
 system.
 """
 
@@ -63,7 +63,9 @@ from .hermitian import jacobi_eigh
 
 PROTOTYPE_NAMES = ("delta", "gaussian", "boxcar")
 # Largest of the system's K*L x M analysis matrix and its M x M frame
-# operator, in entries: 2^24 complex entries are 256 MiB.
+# operator, in entries: it bounds that matrix (2^24 complex entries are
+# 256 MiB), not the process's peak memory, which for gabor-build at the limit
+# is several times larger because copies of the matrix and its report are held.
 MAX_GABOR_ENTRIES = 2**24
 
 # (prototype bytes, params) -> the live frame built from them.  A frame is
@@ -130,10 +132,9 @@ def weyl_matrix(k, l, params):
 
 # The read-only tables of one lattice: the L x M translate index,
 # g[index][l, n] = g[n - lT]; the K x M conjugated phases, so row (k, l) of the
-# analysis matrix is conj(g)[index][l] * phases[k]; the K x M/K x L Walnut
-# gather, g[gather][r, j, l] = g[r + jK - lT]; and the unscaled q x q DFT,
+# analysis matrix is conj(g)[index][l] * phases[k]; and the unscaled q x q DFT,
 # dft[a, b] = exp(-2 pi i a b / q).
-_Plan = namedtuple("_Plan", "index phases gather dft")
+_Plan = namedtuple("_Plan", "index phases dft")
 # Plans kept for lattices whose system has at most this many entries; see the
 # module docstring for the memory this bounds.
 _PLAN_COUNT = 16
@@ -144,12 +145,10 @@ def _make_plan(params):
     m, k = params.length, params.mods
     n = np.arange(m)
     index = (n[None, :] - params.shift * np.arange(params.steps)[:, None]) % m
-    gather = np.ascontiguousarray(index.T.reshape(m // k, k, -1).swapaxes(0, 1))
     q = m // math.lcm(params.shift, k)
     plan = _Plan(
         index,
         np.conj(_modulations(np.arange(k)[:, None], m, k)),
-        gather,
         np.conj(_modulations(np.arange(q)[:, None], q, q)),
     )
     for arr in plan:
@@ -206,15 +205,22 @@ class _GaborFrame(Frame):
         q independent p x p blocks: B_r = (F kron I_p) blockdiag_b(block (r, b))
         (F kron I_p)^H, all K q of them solved in one stacked jacobi_eigh call.
         """
-        g, plan = self.prototype, self.plan
+        g = self.prototype
         e = math.frexp(np.abs(g.view(np.float64)).max())[1] - 1
-        # cols[r, j, l] = g[r + jK - lT] 2^-e, the translates on residue class r
-        cols = (_ldexp(g, -e) if e else g)[plan.gather]
-        k, size, _ = cols.shape
-        q = len(plan.dft)
-        y = (plan.dft @ cols.reshape(k, q, -1)).reshape(k, q, size // q, -1)
+        # column l of the translates is g[n - lT] 2^-e
+        y = self._zak((_ldexp(g, -e) if e else g)[self.plan.index].T)
+        k, q = y.shape[:2]
         w, v = jacobi_eigh(k * (y @ np.conj(np.swapaxes(y, -1, -2))) / q)
         return Spectrum(w, v, 2 * e)
+
+    def _zak(self, x):
+        """The Zak-domain coordinates of a matrix x of M rows, shape (K, q, p,
+        columns): row r + jK of x, j = a p + s, goes to [r, a, s], and the
+        unscaled q-point DFT is taken along a."""
+        k, dft = self.params.mods, self.plan.dft
+        m, c = x.shape
+        xr = x.reshape(m // k, k, c).swapaxes(0, 1).reshape(k, len(dft), -1)
+        return (dft @ xr).reshape(k, len(dft), -1, c)
 
     def _apply_inverse(self, x, root=False):
         """S^{-1} x (S^{-1/2} x with root) for a matrix x of M rows: the DFT
@@ -222,12 +228,10 @@ class _GaborFrame(Frame):
         inverse DFT.  With S = 4^e S_h, S^{-1} x = 2^-e S_h^{-1} (2^-e x) and
         S^{-1/2} x = S_h^{-1/2} (2^-e x)."""
         power = _inverse_power(self, root)
-        k, q, p = power.shape[:3]
+        k, q = power.shape[:2]
         e = self.spectrum().scale // 2
         m, c = x.shape
-        # row r + jK of x, j = a p + s, is xr[r, a, (s, c)]
-        xr = (_ldexp(x, -e) if e else x).reshape(m // k, k, c).swapaxes(0, 1).reshape(k, q, -1)
-        z = power @ (self.plan.dft @ xr).reshape(k, q, p, c)
+        z = power @ self._zak(_ldexp(x, -e) if e else x)
         out = (np.conj(self.plan.dft) @ z.reshape(k, q, -1) / q).reshape(k, -1, c)
         out = out.swapaxes(0, 1).reshape(m, c)
         if e and not root:  # the only step that can leave float64's range
@@ -293,6 +297,7 @@ def named_prototype(name, length):
     gaussian samples exp(-x^2/2) on the unit-spaced symmetric grid
     x_n = n - (length-1)/2 and divides by the maximum sample.
     """
+    _check_integers(length=length)
     if length < 1:
         raise DimensionMismatchError("length must be >= 1")
     if name == "delta":

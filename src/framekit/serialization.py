@@ -42,13 +42,6 @@ def _matrix_fields(arr):
     return {"rows": int(rows), "cols": int(cols), "data": arr.view(np.float64).reshape(-1, 2)}
 
 
-def matrix_to_json(arr):
-    """Matrix -> the JSON-ready {"rows", "cols", "data"} mapping."""
-    fields = _matrix_fields(arr)
-    fields["data"] = (fields["data"] + 0.0).tolist()
-    return fields
-
-
 def matrix_from_json(obj):
     if not isinstance(obj, dict):
         raise ParseError("matrix JSON must be an object")

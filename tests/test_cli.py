@@ -12,12 +12,8 @@ import pytest
 import framekit
 import report_oracle
 from framekit import cli, gabor, sampling
-from framekit.serialization import (
-    dumps_report,
-    matrix_csv_text,
-    matrix_from_json,
-    matrix_to_json,
-)
+from framekit.serialization import dumps_report, matrix_csv_text, matrix_from_json
+from report_oracle import matrix_to_json
 
 RT3 = np.sqrt(3.0)
 MB_VECTORS = [[0.0, 1.0], [-RT3 / 2, -0.5], [RT3 / 2, -0.5]]
@@ -191,6 +187,16 @@ def test_usage_errors(tmp_path, capsys):
 def test_file_errors(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert out_error(capsys, "frame-bounds", "--input", missing) == "file_not_found"
+    # a path through a file, and a name over the file system's limit
+    below_a_file = write_matrix(tmp_path / "mb.json", MB_VECTORS) + "/x"
+    for path in (below_a_file, str(tmp_path / ("a" * 300))):
+        for argv in (
+            ["frame-bounds", "--input", path],
+            ["gabor-dual", "--proto", path, "--n", "4", "--shift", "1", "--mods", "4"],
+            ["sample-mse", "--input", path],
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err, json.loads(out)["error"]) == (1, "", "file_not_found"), argv
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert out_error(capsys, "frame-bounds", "--input", str(bad)) == "parse_error"
@@ -567,6 +573,13 @@ def test_output_into_missing_directory_is_a_file_error(tmp_path, capsys):
     assert code == 1 and err == ""
     assert json.loads(out)["error"] == "file_not_found"
     assert not dest.parent.exists()
+    # a path through a file, a name over the file system's limit, a full device
+    dests = [path + "/out.json", str(tmp_path / ("a" * 300))]
+    if os.path.exists("/dev/full"):
+        dests.append("/dev/full")
+    for dest in dests:
+        code, out, err = run_cli(capsys, "frame-bounds", "--input", path, "--output", dest)
+        assert (code, err, json.loads(out)["error"]) == (1, "", "file_not_found"), dest
 
 
 def test_closed_stdout_ends_without_a_traceback():

@@ -32,6 +32,7 @@ from framekit import (
 from framekit.frames import FRAME_RTOL
 from framekit.gabor import (
     MAX_GABOR_ENTRIES,
+    PROTOTYPE_NAMES,
     GaborParams,
     _plan,
     build_gabor_frame,
@@ -356,6 +357,16 @@ def test_named_prototype_unknown():
         named_prototype("hamming", 4)
 
 
+def test_named_prototype_length_must_be_an_integer():
+    # a float length once gave a 3-sample gaussian, and a bool or float
+    # length numpy's untyped TypeError for delta and boxcar
+    for name in PROTOTYPE_NAMES:
+        for length in (2.5, 3.0, True):
+            with pytest.raises(DimensionMismatchError, match="length must be an integer"):
+                named_prototype(name, length)
+    assert named_prototype("gaussian", np.int64(3)).shape == (3,)
+
+
 # ------------------------------------------------------------ Walnut blocks
 
 # every K | M system used above, including undersampled and full-density ones
@@ -498,10 +509,12 @@ def test_walnut_block_record_is_read_only():
             frame.analysis[0, 0] = 0.0
 
 
-def test_block_operators_match_the_dense_oracle():
+def test_block_operators_match_the_dense_oracle(monkeypatch):
     rng = np.random.default_rng(149)
     spanning = 0
+    formed = record_inverse_blocks(monkeypatch)
     for p in WALNUT_CONFIGS:
+        formed.clear()
         g = random_proto(rng, p.length)
         walnut = build_gabor_frame(g, p)
         dense = Frame(walnut.analysis)  # same vectors, one M x M block
@@ -530,7 +543,7 @@ def test_block_operators_match_the_dense_oracle():
         assert profile.classification == want.classification
         check(gabor_dual_prototype(g, p), canonical_dual(dense).vectors[0])
         # the Gabor frame took the Zak route: its only inverse blocks are p x p
-        assert {b.shape for b in walnut._inverse_blocks.values()} == {zak_shape(p)}, p
+        assert set(formed) == {zak_shape(p)}, p
     assert spanning >= len(WALNUT_CONFIGS) // 2
 
 
@@ -687,9 +700,9 @@ def record_inverses(monkeypatch):
     return applied
 
 
-def test_gabor_check_forms_the_inverse_blocks_once(monkeypatch, capsys):
+def record_inverse_blocks(monkeypatch):
+    """Shape of every stack of Zak-domain inverse (root) blocks formed."""
     import framekit.frames
-    from framekit import cli
 
     checked = framekit.frames._checked_operator
     formed = []
@@ -700,6 +713,13 @@ def test_gabor_check_forms_the_inverse_blocks_once(monkeypatch, capsys):
         return checked(s, *args, **kwargs)
 
     monkeypatch.setattr(framekit.frames, "_checked_operator", recording)
+    return formed
+
+
+def test_gabor_check_forms_the_inverse_blocks_once(monkeypatch, capsys):
+    from framekit import cli
+
+    formed = record_inverse_blocks(monkeypatch)
     applied = record_inverses(monkeypatch)
     argv = ["gabor-check", "--proto", "gaussian", "--n", "48", "--shift", "4", "--mods", "12"]
     assert cli.run(argv) == 0
@@ -845,7 +865,7 @@ def test_gabor_frames_are_freed_by_reference_counting():
     large = GaborParams(length=363, shift=1, mods=1)
     assert framekit.gabor._plan(small) is framekit.gabor._plan(small)
     assert framekit.gabor._plan(large) is not framekit.gabor._plan(large)
-    assert sum(a.nbytes for a in framekit.gabor._plan(small)) < 4.2e6
+    assert sum(a.nbytes for a in framekit.gabor._plan(small)) < 3.2e6
 
 
 def test_gabor_frames_hold_read_only_attributes():

@@ -30,7 +30,8 @@ from framekit import (
 )
 from framekit.gabor import GaborParams, build_gabor_frame, gabor_dual_prototype
 from framekit.hermitian import OFF_TOLERANCE
-from framekit.serialization import dumps_report, matrix_to_json
+from framekit.serialization import dumps_report
+from report_oracle import matrix_to_json
 
 from conftest import random_frame, random_unitary
 

