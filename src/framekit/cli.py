@@ -106,10 +106,10 @@ def _load_frame(path):
     return frames.Frame.from_vectors(load_matrix(path))
 
 
-def _matrix_text(arr, fmt):
+def _matrix_text(arr, fmt, repeats=False):
     if fmt == "csv":
-        return matrix_csv_text(arr)
-    return dumps_report(_matrix_fields(arr))
+        return matrix_csv_text(arr, repeats=repeats)
+    return dumps_report(_matrix_fields(arr), repeats=repeats)
 
 
 def _bounds_report(frame):
@@ -178,7 +178,8 @@ def _gabor_setup(args):
 
 def _cmd_gabor_build(args):
     proto, params = _gabor_setup(args)
-    return _matrix_text(gabor.build_gabor_frame(proto, params).vectors, args.format)
+    # a Gabor system's K·L·M entries take at most M·K values: format each once
+    return _matrix_text(gabor.build_gabor_frame(proto, params).vectors, args.format, repeats=True)
 
 
 def _cmd_gabor_dual(args):
@@ -379,15 +380,22 @@ def run(argv=None):
 
 
 def main():
+    """The console entry point: ``run`` the argv, flush, and end the process.
+
+    The process ends with ``os._exit`` once stdout and stderr are flushed,
+    without the interpreter's teardown, which has nothing left to write; a
+    stdout that could not take the report is never flushed again.
+    """
     try:
         code = run(sys.argv[1:])
         sys.stdout.flush()
     except BrokenPipeError:
-        # the reader closed stdout early; send the rest of the output to
-        # devnull so the interpreter's final flush does not fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1  # the reader closed stdout early
+    except OSError as exc:  # stdout could not take the report: a full device
+        print("framekit: error: cannot write to stdout: %s" % exc, file=sys.stderr)
         code = 1
-    sys.exit(code)
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -12,8 +12,9 @@ import pytest
 import framekit
 import report_oracle
 from framekit import cli, gabor, sampling
-from framekit.serialization import dumps_report, matrix_csv_text, matrix_from_json
+from framekit.serialization import dumps_report, load_vector, matrix_csv_text, matrix_from_json
 from report_oracle import matrix_to_json
+from test_gabor import WALNUT_CONFIGS
 
 RT3 = np.sqrt(3.0)
 MB_VECTORS = [[0.0, 1.0], [-RT3 / 2, -0.5], [RT3 / 2, -0.5]]
@@ -217,6 +218,24 @@ def test_gabor_build(tmp_path, capsys):
     assert vectors.shape == (4, 4)
     assert np.allclose(vectors[0], [1, 0, 0, 0])
     assert np.allclose(vectors[1], [0, 0, 1, 0])  # l inner: shift before modulation
+
+
+def test_gabor_build_reports_match_per_element_walk(tmp_path, capsys):
+    # gabor-build formats each distinct entry once; its reports must equal
+    # the per-element walk, exact and signed zeros (delta, boxcar) included
+    rng = np.random.default_rng(211)
+    for p in WALNUT_CONFIGS:
+        windows = [gabor.named_prototype(name, p.length) for name in ("gaussian", "boxcar", "delta")]
+        windows.append(rng.standard_normal(p.length) + 1j * rng.standard_normal(p.length))
+        for g in windows:
+            for scale in (1.0, 2.0**600, 2.0**-600):
+                path = write_matrix(tmp_path / "g.json", [g * scale])
+                system = gabor.build_gabor_frame(load_vector(path), p).vectors
+                geometry = ["--n", str(p.length), "--shift", str(p.shift), "--mods", str(p.mods)]
+                code, out, _ = run_cli(capsys, "gabor-build", "--proto", path, *geometry)
+                assert code == 0 and out == report_oracle.dumps_report(matrix_to_json(system)) + "\n", p
+                code, out, _ = run_cli(capsys, "gabor-build", "--proto", path, *geometry, "--format", "csv")
+                assert code == 0 and out == report_oracle.matrix_csv_text(system) + "\n", p
 
 
 def test_gabor_build_proto_from_file(tmp_path, capsys):
@@ -598,6 +617,43 @@ def test_closed_stdout_ends_without_a_traceback():
     proc.stderr.close()
     assert code == 1
     assert b"Traceback" not in err and b"BrokenPipeError" not in err, err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_ends_without_a_traceback():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(framekit.__file__)))
+    gabor_check = ["gabor-check", "--proto", "gaussian", "--n", "8", "--shift", "2"]
+    # a report, then a domain-error report (3 does not divide 8)
+    for mods in ("4", "3"):
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "framekit.cli", *gabor_check, "--mods", mods],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+            )
+        assert proc.returncode == 1, mods
+        assert proc.stderr.startswith("framekit: error: cannot write to stdout: ")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr, proc.stderr
+
+
+def test_main_keeps_the_report_and_the_exit_code(capsys):
+    # main ends the process right after its flush; the bytes, the exit code
+    # and the usage line must all be out by then (the other subprocess runs
+    # in this file check exit 1)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(framekit.__file__)))
+    argv = ["gabor-build", "--proto", "gaussian", "--n", "64", "--shift", "2", "--mods", "32"]
+    code, text, _ = run_cli(capsys, *argv)
+    proc = subprocess.run(
+        [sys.executable, "-m", "framekit.cli", *argv], capture_output=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stderr) == (code, b"") == (0, b"")
+    assert proc.stdout == text.encode("utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "framekit.cli", *argv[:-2]], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines()[-1] == (
+        "framekit gabor-build: error: the following arguments are required: --mods"
+    )
 
 
 def test_csv_format_for_matrix_reports(tmp_path, capsys):

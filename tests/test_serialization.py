@@ -226,8 +226,11 @@ def _matrices():
 def test_matrix_report_bytes_match_per_element_walk():
     for a in _matrices():
         want = report_oracle.dumps_report(report_oracle.matrix_to_json(a))
-        assert dumps_report(_matrix_fields(a)) == want
-        assert matrix_csv_text(a) == report_oracle.matrix_csv_text(a)
+        want_csv = report_oracle.matrix_csv_text(a)
+        # the distinct fill prints the same bytes, whether or not entries repeat
+        for repeats in (False, True):
+            assert dumps_report(_matrix_fields(a), repeats=repeats) == want
+            assert matrix_csv_text(a, repeats=repeats) == want_csv
 
 
 def test_ndarray_leaves_match_per_element_walk():
@@ -251,12 +254,13 @@ def test_non_finite_output_still_raises():
     for bad in (float("nan"), float("inf"), -float("inf")):
         for z in (complex(bad, 0.0), complex(0.0, bad)):
             a = np.array([[1.0, z], [0.5, 2.0]])
-            with pytest.raises(ParseError, match="non-finite value in output"):
-                dumps_report(_matrix_fields(a))
+            for repeats in (False, True):
+                with pytest.raises(ParseError, match="non-finite value in output"):
+                    dumps_report(_matrix_fields(a), repeats=repeats)
+                with pytest.raises(ParseError, match="non-finite value in output"):
+                    matrix_csv_text(a, repeats=repeats)
             with pytest.raises(ParseError, match="non-finite value in output"):
                 dumps_report(matrix_to_json(a))
-            with pytest.raises(ParseError, match="non-finite value in output"):
-                matrix_csv_text(a)
         with pytest.raises(ParseError, match="non-finite value in output"):
             dumps_report({"v": np.array([0.0, bad])})
 
