@@ -7,6 +7,7 @@ so callers can parse failures.
 """
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -106,10 +107,10 @@ def _load_frame(path):
     return frames.Frame.from_vectors(load_matrix(path))
 
 
-def _matrix_text(arr, fmt, repeats=False):
+def _matrix_text(arr, fmt):
     if fmt == "csv":
-        return matrix_csv_text(arr, repeats=repeats)
-    return dumps_report(_matrix_fields(arr), repeats=repeats)
+        return matrix_csv_text(arr)
+    return dumps_report(_matrix_fields(arr))
 
 
 def _bounds_report(frame):
@@ -178,8 +179,7 @@ def _gabor_setup(args):
 
 def _cmd_gabor_build(args):
     proto, params = _gabor_setup(args)
-    # a Gabor system's K·L·M entries take at most M·K values: format each once
-    return _matrix_text(gabor.build_gabor_frame(proto, params).vectors, args.format, repeats=True)
+    return _matrix_text(gabor.build_gabor_frame(proto, params).vectors, args.format)
 
 
 def _cmd_gabor_dual(args):
@@ -383,18 +383,20 @@ def main():
     """The console entry point: ``run`` the argv, flush, and end the process.
 
     The process ends with ``os._exit`` once stdout and stderr are flushed,
-    without the interpreter's teardown, which has nothing left to write; a
-    stdout that could not take the report is never flushed again.
+    without the interpreter's teardown, which has nothing left to write; an
+    output that could not take the report is never flushed again.
     """
     try:
         code = run(sys.argv[1:])
         sys.stdout.flush()
     except BrokenPipeError:
         code = 1  # the reader closed stdout early
-    except OSError as exc:  # stdout could not take the report: a full device
-        print("framekit: error: cannot write to stdout: %s" % exc, file=sys.stderr)
+    except OSError as exc:  # the output could not take the report: a full device
         code = 1
-    sys.stderr.flush()
+        with contextlib.suppress(OSError):  # stderr may be that device too
+            print("framekit: error: cannot write output: %s" % exc, file=sys.stderr)
+    with contextlib.suppress(OSError):
+        sys.stderr.flush()
     os._exit(code)
 
 

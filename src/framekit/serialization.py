@@ -14,16 +14,19 @@ emitter as arrays: ``dumps_report`` prints an ndarray exactly as it would
 print the same values as nested lists of floats, only without visiting
 each value in Python.
 
-A Gabor system's report takes a second fill, chosen by the caller with
-``repeats=True`` (only ``gabor-build`` sets it).  The K·L×M entries of
-g[n - lT]·e^{2πikn/K} take at most M·K distinct values, each about L = M/T
-times, so after the same ``+ 0.0`` fold the entries are reduced with
-``np.unique``, each distinct [re, im] pair is formatted once by one fill
-of a pair template, and the strings are gathered back with the inverse
-index and joined.  Dense matrices keep the one-pass fill: on entries that
-are all distinct the sort and the gather only add work (a 1000×100 random
-complex matrix took 201 ms against 154 ms in JSON, medians of 15
-interleaved runs on a 2-vCPU Xeon).  Both fills print the same bytes.
+A matrix's [re, im] pairs, the (n, 2) float arrays of its JSON ``data``
+and the cells of its CSV text, take a distinct fill instead: after the same
+``+ 0.0`` fold the entries are reduced with ``np.unique``, each distinct
+pair is formatted once by one fill of a pair template, and the strings are
+gathered back with the inverse index and joined.  A Gabor system's K·L×M
+entries g[n - lT]·e^{2πikn/K} take at most M·K distinct values, each about
+L = M/T times, so its report formats a small fraction of its numbers.  On a
+dense matrix whose entries are all distinct the sort and the gather only
+add work: a 1000×100 random complex matrix took 201 ms against 154 ms in
+JSON (medians of 15 interleaved runs on a 2-vCPU Xeon).  That cost is
+taken rather than a second path kept for dense matrices: the dense reports
+the verbs print are small, and the distinct fill prints the same bytes as
+the one-pass fill.
 """
 
 import csv
@@ -165,41 +168,29 @@ def _distinct_cells(pairs, template):
     """``template`` (two float slots) filled with each [re, im] row of the
     (n, 2) float array, as an object array of n strings; each distinct pair
     is formatted once."""
-    values, inverse = np.unique((pairs + 0.0).view(np.complex128).ravel(), return_inverse=True)
+    pairs = np.ascontiguousarray(pairs, dtype=np.float64) + 0.0
+    values, inverse = np.unique(pairs.view(np.complex128).ravel(), return_inverse=True)
     # no %-formatted float contains a newline, so it separates the cells
     cells = _fill("\n".join([template] * values.size), values.view(np.float64))
     return np.array(cells.split("\n"), dtype=object)[inverse]
 
 
-def matrix_csv_text(arr, repeats=False):
-    """One row per line, cells ``re+im i`` or ``re-|im|i`` in %.17g.
-
-    ``repeats``: the entries repeat (a Gabor system), so each distinct one
-    is formatted once; the text is the same.
-    """
+def matrix_csv_text(arr):
+    """One row per line, cells ``re+im i`` or ``re-|im|i`` in %.17g."""
     fields = _matrix_fields(arr)
     # %+.17g prints the sign of im and then |im| exactly as %.17g does
-    cell = "%.17g%+.17gi"
-    if repeats:
-        cells = _distinct_cells(fields["data"], cell).reshape(fields["rows"], -1)
-        return "\n".join([",".join(row) for row in cells.tolist()])
-    line = ",".join([cell] * fields["cols"])
-    return _fill("\n".join([line] * fields["rows"]), fields["data"])
+    cells = _distinct_cells(fields["data"], "%.17g%+.17gi").reshape(fields["rows"], -1)
+    return "\n".join([",".join(row) for row in cells.tolist()])
 
 
-def dumps_report(value, repeats=False):
-    """Deterministic JSON with %.17g floats and insertion-ordered keys.
-
-    ``repeats``: the (n, 2) float arrays in ``value`` are [re, im] pairs
-    that repeat (a Gabor system's matrix data), so each distinct pair is
-    formatted once; the text is the same.
-    """
+def dumps_report(value):
+    """Deterministic JSON with %.17g floats and insertion-ordered keys."""
     pieces = []
-    _emit(value, pieces, repeats)
+    _emit(value, pieces)
     return "".join(pieces)
 
 
-def _emit(value, pieces, repeats):
+def _emit(value, pieces):
     if isinstance(value, dict):
         pieces.append("{")
         for i, (key, item) in enumerate(value.items()):
@@ -207,14 +198,14 @@ def _emit(value, pieces, repeats):
                 pieces.append(", ")
             pieces.append(json.dumps(str(key)))
             pieces.append(": ")
-            _emit(item, pieces, repeats)
+            _emit(item, pieces)
         pieces.append("}")
     elif isinstance(value, (list, tuple)):
         pieces.append("[")
         for i, item in enumerate(value):
             if i:
                 pieces.append(", ")
-            _emit(item, pieces, repeats)
+            _emit(item, pieces)
         pieces.append("]")
     elif isinstance(value, bool) or value is None:
         pieces.append(json.dumps(value))
@@ -224,11 +215,11 @@ def _emit(value, pieces, repeats):
         pieces.append(json.dumps(value))
     elif isinstance(value, (float, np.floating, np.ndarray)) and np.asarray(value).dtype.kind == "f":
         value = np.asarray(value, dtype=np.float64)
-        if repeats and value.ndim == 2 and value.shape[1] == 2:
+        if value.ndim == 2 and value.shape[1] == 2:  # [re, im] pairs
             pieces.append("[" + ", ".join(_distinct_cells(value, "[%.17g, %.17g]").tolist()) + "]")
         else:
             pieces.append(_fill(_array_template(value.shape), value))
     elif isinstance(value, np.ndarray):
-        _emit(value.tolist(), pieces, repeats)
+        _emit(value.tolist(), pieces)
     else:
         raise ParseError("cannot serialize %r" % type(value).__name__)

