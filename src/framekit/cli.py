@@ -30,10 +30,6 @@ SWEEP_HEADER = "oversampling_factor,analytic_mse,mc_mse,stderr"
 SAMPLE_DEFAULTS = {"sigma2": 1.0, "trials": 1000, "seed": 0, "filter": "ideal"}
 
 
-class _UsageError(Exception):
-    """Missing or malformed command line values (exit code 2)."""
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="framekit",
@@ -43,7 +39,8 @@ def build_parser():
 
     def add(name, help_, handler):
         p = sub.add_parser(name, help=help_)
-        p.set_defaults(handler=handler)
+        # usage errors found after parsing go through the verb's own parser
+        p.set_defaults(handler=handler, error=p.error)
         p.add_argument("--output", help="write the report here instead of stdout")
         p.add_argument(
             "--format", choices=("json", "csv"), default=None, help="report format"
@@ -208,18 +205,17 @@ def _as_strict_int(value):
 
 
 def _config_value(args, cfg, key, kind, default=None):
-    """The flag's value, else the config file's, else default; a usage error
-    when there is none of the three."""
+    """The flag's value, else the config file's, else default, else a usage error."""
     value = getattr(args, key, None)
     if value is not None:
         return value  # argparse already typed flag values
     if key in cfg:
         try:
             return kind(cfg[key])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ParseError("bad config value for %r: %r" % (key, cfg[key])) from None
     if default is None:
-        raise _UsageError("missing %r (give the flag or put it in the config file)" % key)
+        args.error("missing %r (give the flag or put it in the config file)" % key)
     return default
 
 
@@ -249,9 +245,9 @@ def _sampling_setup(args):
         try:
             periods = [int(tok) for tok in args.periods.split(",") if tok.strip()]
         except ValueError:
-            raise _UsageError("bad --periods %r" % args.periods) from None
+            args.error("bad --periods %r" % args.periods)
         if not periods:
-            raise _UsageError("empty --periods")
+            args.error("empty --periods")
     elif "periods" in cfg:
         raw = cfg["periods"]
         if not isinstance(raw, list) or not raw:
@@ -261,7 +257,7 @@ def _sampling_setup(args):
         except (TypeError, ValueError):
             raise ParseError("bad config periods %r" % (raw,)) from None
     else:
-        raise _UsageError("missing 'periods' (give --periods or put it in the config file)")
+        args.error("missing 'periods' (give --periods or put it in the config file)")
     req.periods = periods
     return req
 
@@ -352,31 +348,23 @@ def _cmd_sample_sweep(args):
 
 
 def run(argv=None):
-    """Execute one verb; returns the process exit code."""
-    parser = build_parser()
+    """Execute one verb; returns the process exit code.  A stdout that cannot
+    take the report raises its own OSError, which ``main`` handles."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        text = args.handler(args)
+        args = build_parser().parse_args(argv)
+        text, code = args.handler(args), 0
         if args.output:
             with open(args.output, "w", encoding="utf-8") as handle:
                 handle.write(text + "\n")
-        else:
-            print(text)
-    except _UsageError as exc:
-        print("framekit %s: error: %s" % (args.verb, exc), file=sys.stderr)
-        return 2
+            return 0
+    except SystemExit as exc:  # argparse has printed its usage error, or --help
+        return int(exc.code or 0)
     except DomainError as exc:
-        print(dumps_report({"error": exc.code, "detail": str(exc)}))
-        return 1
-    except BrokenPipeError:
-        raise  # main silences the closed stdout
+        text, code = dumps_report({"error": exc.code, "detail": str(exc)}), 1
     except OSError as exc:  # a path that cannot be read or written, a full disk
-        print(dumps_report({"error": "file_not_found", "detail": str(exc)}))
-        return 1
-    return 0
+        text, code = dumps_report({"error": "file_not_found", "detail": str(exc)}), 1
+    print(text)
+    return code
 
 
 def main():

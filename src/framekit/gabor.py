@@ -33,11 +33,11 @@ S^{-1/2} g as it is, bit for bit, even where S itself leaves float64's range.
 A built system is shared: while a caller holds the frame of a prototype and
 params, build_gabor_frame (and so gabor_dual_prototype) returns that frame and
 reads its spectrum and windows instead of building and solving again.  The
-tables of a lattice (its plan) are shared too: a system hands its plan to its
-dual and tight frames, and the plans of the 16 most recently used lattices
+tables of a lattice (its plan) are shared too: every frame takes its plan
+from its params alone, and the plans of the 16 most recently used lattices
 whose systems hold at most 2^17 entries are kept, each under 3.2 MB (at
 M = 362, T = K = 1), so under 51 MB in all; other lattices get a plan per
-system.
+system, a dual or tight frame its own.
 """
 
 import functools
@@ -249,13 +249,13 @@ class _GaborFrame(Frame):
         return window
 
     def _canonical(self, root):
-        return _build(self._window(root), self.params, self.plan)
+        return _build(self._window(root), self.params)
 
 
-def _build(g, params, plan=None):
+def _build(g, params):
     """The system of g, a prototype no caller holds, from the _Plan of params:
     every weyl_shift(g, k, l) as a conjugated row, k outer, l inner."""
-    plan = plan or _plan(params)
+    plan = _plan(params)
     analysis = (np.conj(g)[plan.index] * plan.phases[:, None, :]).reshape(-1, params.length)
     frame = _GaborFrame._adopt(analysis)
     g.flags.writeable = False

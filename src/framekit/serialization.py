@@ -63,13 +63,12 @@ def matrix_from_json(obj):
         rows = int(obj["rows"])
         cols = int(obj["cols"])
         data = obj["data"]
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise ParseError("matrix JSON needs integer 'rows', 'cols' and a 'data' list") from None
     if rows < 1 or cols < 1:
         raise ParseError("matrix dimensions must be positive")
     if not isinstance(data, list) or len(data) != rows * cols:
         raise ParseError("matrix data must list rows*cols [re, im] pairs")
-    out = np.empty(rows * cols, dtype=np.complex128)
     for i, pair in enumerate(data):
         if (
             not isinstance(pair, (list, tuple))
@@ -77,8 +76,11 @@ def matrix_from_json(obj):
             or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
         ):
             raise ParseError("matrix data entry %d is not an [re, im] pair" % i)
-        out[i] = complex(pair[0], pair[1])
-    return _finite(out.reshape(rows, cols))
+    try:
+        pairs = np.array(data, dtype=np.float64)
+    except OverflowError:  # an integer beyond float64's range
+        raise ParseError("matrix entries must be finite") from None
+    return _finite(pairs.view(np.complex128).reshape(rows, cols))
 
 
 def _finite(mat):

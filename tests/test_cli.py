@@ -465,13 +465,23 @@ def test_sample_config_rejections_keep_their_codes(tmp_path, capsys):
         ({"n": True, "band": 1, "period": 2}, "bad config value for 'n': True"),
         ({"n": 8, "band": 1, "period": 2, "trials": 2.5}, "bad config value for 'trials': 2.5"),
         ({"n": 8, "band": 1, "periods": []}, "config 'periods' must be a nonempty list"),
+        ({"n": 8, "band": 1, "period": 2, "sigma2": 10**400}, "bad config value for 'sigma2': %r" % 10**400),
     ):
         cfg.write_text(json.dumps(config))
         verb = "sample-sweep" if "periods" in config else "sample-mse"
         code, out, _ = run_cli(capsys, verb, "--input", str(cfg))
         assert (code, json.loads(out)) == (1, {"error": "parse_error", "detail": detail})
-    code, out, err = run_cli(capsys, "sample-sweep", "--n", "8", "--band", "1", "--periods", ",")
-    assert (code, out) == (2, "") and err.endswith("error: empty --periods\n")
+    # usage errors found after parsing print the verb's usage block first, as
+    # argparse's own do
+    for argv, line in (
+        (["sample-sweep", "--periods", ","], "empty --periods"),
+        (["sample-sweep", "--periods", "2,x"], "bad --periods '2,x'"),
+        (["sample-sweep"], "missing 'periods' (give --periods or put it in the config file)"),
+        (["sample-mse"], "missing 'period' (give the flag or put it in the config file)"),
+    ):
+        code, out, err = run_cli(capsys, *argv[:1], "--n", "8", "--band", "1", *argv[1:])
+        assert (code, out) == (2, "") and err.startswith("usage: framekit %s " % argv[0]), argv
+        assert err.splitlines()[-1] == "framekit %s: error: %s" % (argv[0], line)
 
 
 def test_huge_sigma2_reports_overflow(capsys):
@@ -538,6 +548,11 @@ UNTRUSTED_INPUTS = (
     (["sample-mse", "--n", "8", "--band", "1", "--period", "2", "--sigma2", "nan"], "dimension_mismatch"),
     (["sample-mse", "--n", "8", "--band", "1", "--period", "2", "--sigma2", "inf"], "dimension_mismatch"),
     (["sample-sweep", "--n", "8", "--band", "1", "--periods", "2,1", "--sigma2", "inf"], "dimension_mismatch"),
+    # numbers beyond float64's range: 1e400 dimensions, a 400-digit entry or sigma2
+    (["frame-bounds", "--input", "{huge_dims}"], "parse_error"),
+    (["frame-bounds", "--input", "{huge_entry}"], "parse_error"),
+    (["gabor-dual", "--proto", "{huge_entry}", "--n", "2", "--shift", "1", "--mods", "2"], "parse_error"),
+    (["sample-mse", "--input", "{huge_sigma2}"], "parse_error"),
 )
 
 
@@ -546,16 +561,25 @@ def test_untrusted_inputs_report_typed_errors(tmp_path, capsys):
     binary.write_bytes(b'{"n": 8, \xff}')
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 200_000 + "]" * 200_000)
-    cases = [([a.format(binary=binary, deep=deep) for a in argv], want)
-             for argv, want in UNTRUSTED_INPUTS]
+    huge = "1" + "0" * 400
+    files = {"binary": binary, "deep": deep}
+    for name, text in (
+        ("huge_dims", '{"rows": 1e400, "cols": 1, "data": [[1, 0]]}'),
+        ("huge_entry", '{"rows": 1, "cols": 2, "data": [[%s, 0], [1, 0]]}' % huge),
+        ("huge_sigma2", '{"n": 8, "band": 1, "period": 2, "trials": 3, "sigma2": %s}' % huge),
+    ):
+        files[name] = tmp_path / (name + ".json")
+        files[name].write_text(text)
+    cases = [([a.format(**files) for a in argv], want) for argv, want in UNTRUSTED_INPUTS]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for argv, want in cases:
             code, out, err = run_cli(capsys, *argv)
             assert (code, err, json.loads(out)["error"]) == (1, "", want), argv
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(framekit.__file__)))
-    # one process per kind: undecodable, deeply nested, seed, nan, inf
-    for argv, want in (cases[i] for i in (0, 1, 4, 7, 8)):
+    # one process per kind: undecodable, deeply nested, seed, nan, inf, and
+    # the three beyond float64's range
+    for argv, want in (cases[i] for i in (0, 1, 4, 7, 8, 10, 11, 13)):
         proc = subprocess.run(
             [sys.executable, "-m", "framekit.cli", *argv],
             capture_output=True, text=True, env=env, timeout=60,
@@ -636,7 +660,10 @@ def test_full_stdout_ends_without_a_traceback():
 
 
 class _FullStream(io.TextIOBase):
+    writes = 0
+
     def write(self, text):
+        self.writes += 1
         raise OSError(errno.ENOSPC, "No space left on device")
 
     def flush(self):
@@ -645,6 +672,17 @@ class _FullStream(io.TextIOBase):
 
 class _Exit(Exception):
     pass
+
+
+def test_run_raises_the_failed_writes_own_error(monkeypatch):
+    # run writes a report once and leaves a failed stdout to main: no second
+    # report is tried, so the error chains nothing
+    for mods in ("4", "3"):  # a report, then a domain-error report
+        stream = _FullStream()
+        monkeypatch.setattr(sys, "stdout", stream)
+        with pytest.raises(OSError) as raised:
+            cli.run(["gabor-check", "--proto", "gaussian", "--n", "8", "--shift", "2", "--mods", mods])
+        assert (raised.value.errno, raised.value.__context__, stream.writes) == (errno.ENOSPC, None, 1)
 
 
 def test_main_reaches_its_exit_when_stderr_is_full_too(monkeypatch):

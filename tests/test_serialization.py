@@ -94,6 +94,11 @@ def test_matrix_from_json_validation():
             matrix_from_json(obj)
     with pytest.raises(ParseError):
         matrix_from_json([1, 2, 3])
+    # numbers beyond float64's range: JSON's 1e400 is inf, a 400-digit integer no float
+    with pytest.raises(ParseError, match="needs integer 'rows'"):
+        matrix_from_json({"rows": float("inf"), "cols": 1, "data": [[1, 0]]})
+    with pytest.raises(ParseError, match="matrix entries must be finite"):
+        matrix_from_json({"rows": 1, "cols": 2, "data": [[1, 0], [0, 10**400]]})
 
 
 def test_matrix_csv_round_trip():
