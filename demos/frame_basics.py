@@ -60,7 +60,7 @@ canonical = left_inverse(frame)
 alt = left_inverse(frame, free_param=[[2.0, -1.0, -1.0], [0.0, 1.0, 0.0]])
 print("\ncoefficients for x =", x, "(canonical norm is the smallest possible):")
 for name, li in (("canonical", canonical), ("alternative", alt)):
-    c = li.matrix.conj().T @ x
+    c = li.conj().T @ x
     resyn = frame.synthesis @ c
     print("  %-12s norm %.6f  resynthesis %s" % (name, np.linalg.norm(c), np.round(resyn.real, 6)))
 

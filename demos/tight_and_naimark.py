@@ -48,9 +48,8 @@ unit = tighten(Frame.from_vectors([
     [-np.sqrt(3) / 2, -0.5],
     [np.sqrt(3) / 2, -0.5],
 ]))
-dilation = naimark_dilate(unit)
-u = dilation.unitary
-print("\ndilated unitary (first %d columns are the analysis matrix):" % dilation.subspace_dim)
+u = naimark_dilate(unit)
+print("\ndilated unitary (first %d columns are the analysis matrix):" % unit.dim)
 print(u.real)
 print("U^H U == I:", np.allclose(u.conj().T @ u, np.eye(3)))
 print("first two columns match:", np.allclose(u[:, :2], unit.analysis))

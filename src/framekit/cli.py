@@ -1,9 +1,10 @@
 """framekit command line: frame, Gabor, and sampling reports.
 
-Every verb prints a deterministic report (JSON unless --format csv) to
-stdout, or writes it to --output.  Exit codes: 0 ok, 2 usage, 1 domain or
-file errors; the latter still print {"error": code, "detail": ...} to stdout
-so callers can parse failures.
+Every verb prints a deterministic JSON report to stdout, or writes it to
+--output; the six verbs whose report has a CSV form take --format, and
+sample-sweep prints CSV unless given --format json.  Exit codes: 0 ok,
+2 usage, 1 domain or file errors; the latter still print {"error": code,
+"detail": ...} to stdout so callers can parse failures.
 """
 
 import argparse
@@ -16,6 +17,7 @@ import numpy as np
 from . import frames, gabor, sampling
 from .errors import DomainError, ParseError
 from .serialization import (
+    _as_strict_int,
     _fill,
     _matrix_fields,
     dumps_report,
@@ -37,28 +39,30 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="verb", required=True, metavar="verb")
 
-    def add(name, help_, handler):
+    def add(name, help_, handler, csv=False):
         p = sub.add_parser(name, help=help_)
         # usage errors found after parsing go through the verb's own parser
         p.set_defaults(handler=handler, error=p.error)
         p.add_argument("--output", help="write the report here instead of stdout")
-        p.add_argument(
-            "--format", choices=("json", "csv"), default=None, help="report format"
-        )
+        if csv:
+            p.add_argument(
+                "--format", choices=("json", "csv"), default=None, help="report format"
+            )
         return p
 
-    p = add("frame-analyze", "coefficients <f, g_k> of a signal", _cmd_frame_analyze)
+    p = add("frame-analyze", "coefficients <f, g_k> of a signal", _cmd_frame_analyze, csv=True)
     p.add_argument("--input", required=True, help="frame file (vectors as rows)")
     p.add_argument("--signal", required=True, help="signal vector file")
 
     p = add("frame-bounds", "tightest frame bounds and classification", _cmd_frame_bounds)
     p.add_argument("--input", required=True)
 
-    p = add("frame-dual", "canonical dual frame, or an alternative via --param", _cmd_frame_dual)
+    p = add("frame-dual", "canonical dual frame, or an alternative via --param", _cmd_frame_dual,
+            csv=True)
     p.add_argument("--input", required=True)
     p.add_argument("--param", help="free left-inverse parameter matrix (N x K)")
 
-    p = add("frame-tighten", "canonical tight frame S^{-1/2} g_k", _cmd_frame_tighten)
+    p = add("frame-tighten", "canonical tight frame S^{-1/2} g_k", _cmd_frame_tighten, csv=True)
     p.add_argument("--input", required=True)
 
     p = add("frame-naimark", "orthonormal dilation of a tight unit frame", _cmd_frame_naimark)
@@ -72,7 +76,7 @@ def build_parser():
         ("gabor-dual", "dual prototype S^{-1} g", _cmd_gabor_dual),
         ("gabor-check", "bounds plus dual-structure verification", _cmd_gabor_check),
     ):
-        p = add(name, help_, handler)
+        p = add(name, help_, handler, csv=name != "gabor-check")
         p.add_argument("--proto", required=True, help="delta|gaussian|boxcar or a vector file")
         p.add_argument("--n", required=True, type=int, help="signal length M")
         p.add_argument("--shift", required=True, type=int, help="time step T (divides M)")
@@ -84,16 +88,18 @@ def build_parser():
         ("sample-mse", "analytic vs Monte Carlo noise MSE", _cmd_sample_mse),
         ("sample-sweep", "MSE across sampling periods (CSV by default)", _cmd_sample_sweep),
     ):
-        p = add(name, help_, handler)
-        p.add_argument("--input", help="config JSON {n, band, period(s), sigma2, trials, seed, filter}")
+        p = add(name, help_, handler, csv=name == "sample-sweep")
+        noise = "" if name == "sample-reconstruct" else " sigma2, trials,"
+        p.add_argument("--input", help=f"config JSON {{n, band, period(s),{noise} seed, filter}}")
         p.add_argument("--n", type=int, help="signal length N (even)")
         p.add_argument("--band", type=int, help="band half-width W in bins")
         if name == "sample-sweep":
             p.add_argument("--periods", help="comma-separated sampling periods")
         else:
             p.add_argument("--period", type=int, help="sampling period Ts (divides N)")
-        p.add_argument("--sigma2", type=float, help="noise variance (default 1.0)")
-        p.add_argument("--trials", type=int, help="Monte Carlo trials (default 1000)")
+        if name != "sample-reconstruct":
+            p.add_argument("--sigma2", type=float, help="noise variance (default 1.0)")
+            p.add_argument("--trials", type=int, help="Monte Carlo trials (default 1000)")
         p.add_argument("--seed", type=int, help="RNG seed (default 0)")
         p.add_argument("--filter", help="'ideal' or an impulse-response vector file")
 
@@ -138,7 +144,7 @@ def _cmd_frame_dual(args):
         return _matrix_text(frames.canonical_dual(frame).vectors, args.format)
     left = frames.left_inverse(frame, load_matrix(args.param))
     # columns of the left inverse are the alternative dual vectors
-    return _matrix_text(left.matrix.T, args.format)
+    return _matrix_text(left.T, args.format)
 
 
 def _cmd_frame_tighten(args):
@@ -146,11 +152,11 @@ def _cmd_frame_tighten(args):
 
 
 def _cmd_frame_naimark(args):
-    dilation = frames.naimark_dilate(_load_frame(args.input))
+    frame = _load_frame(args.input)
     return dumps_report(
         {
-            "subspace_dim": dilation.subspace_dim,
-            "unitary": _matrix_fields(dilation.unitary),
+            "subspace_dim": frame.dim,
+            "unitary": _matrix_fields(frames.naimark_dilate(frame)),
         }
     )
 
@@ -196,14 +202,6 @@ def _cmd_gabor_check(args):
     return dumps_report(report)
 
 
-def _as_strict_int(value):
-    if isinstance(value, bool):
-        raise ValueError("boolean is not an integer")
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError("not an integer")
-    return int(value)
-
-
 def _config_value(args, cfg, key, kind, default=None):
     """The flag's value, else the config file's, else default, else a usage error."""
     value = getattr(args, key, None)
@@ -220,9 +218,9 @@ def _config_value(args, cfg, key, kind, default=None):
 
 
 def _sampling_setup(args):
-    """The sampling request with every value resolved, its ``periods``
-    [period] unless the verb is sample-sweep.  The trial budget is checked
-    before anything is built."""
+    """The sampling request with every value the verb reads resolved, its
+    ``periods`` [period] unless the verb is sample-sweep.  The trial budget
+    is checked before anything is built."""
     cfg = {}
     if args.input:
         cfg = load_json(args.input)
@@ -231,13 +229,14 @@ def _sampling_setup(args):
     req = argparse.Namespace(
         n=_config_value(args, cfg, "n", _as_strict_int),
         band=_config_value(args, cfg, "band", _as_strict_int),
-        sigma2=_config_value(args, cfg, "sigma2", float, SAMPLE_DEFAULTS["sigma2"]),
-        trials=_config_value(args, cfg, "trials", _as_strict_int, SAMPLE_DEFAULTS["trials"]),
-        seed=_config_value(args, cfg, "seed", _as_strict_int, SAMPLE_DEFAULTS["seed"]),
-        filter=_config_value(args, cfg, "filter", str, SAMPLE_DEFAULTS["filter"]),
+        trials=1,  # sample-reconstruct draws a single signal and no trials
     )
-    # sample-reconstruct draws a single signal and no trials
-    sampling.check_trial_budget(req.n, 1 if args.verb == "sample-reconstruct" else req.trials)
+    if args.verb != "sample-reconstruct":
+        req.sigma2 = _config_value(args, cfg, "sigma2", float, SAMPLE_DEFAULTS["sigma2"])
+        req.trials = _config_value(args, cfg, "trials", _as_strict_int, SAMPLE_DEFAULTS["trials"])
+    req.seed = _config_value(args, cfg, "seed", _as_strict_int, SAMPLE_DEFAULTS["seed"])
+    req.filter = _config_value(args, cfg, "filter", str, SAMPLE_DEFAULTS["filter"])
+    sampling.check_trial_budget(req.n, req.trials)
     if args.verb != "sample-sweep":
         req.periods = [_config_value(args, cfg, "period", _as_strict_int)]
         return req

@@ -178,14 +178,6 @@ class FrameBounds:
 
 
 @dataclass(frozen=True)
-class LeftInverse:
-    """A left inverse L of the analysis matrix, L = pinv + M (I - T pinv)."""
-
-    matrix: np.ndarray
-    free_param: np.ndarray
-
-
-@dataclass(frozen=True)
 class ExactnessProfile:
     """Diagonal <dual_k, g_k> of the range projection plus a classification."""
 
@@ -194,14 +186,6 @@ class ExactnessProfile:
 
     diagonal: np.ndarray
     classification: str
-
-
-@dataclass(frozen=True)
-class NaimarkDilation:
-    """K x K unitary whose first ``subspace_dim`` columns are the analysis matrix."""
-
-    unitary: np.ndarray
-    subspace_dim: int
 
 
 def frame_threshold(upper):
@@ -285,12 +269,13 @@ def pseudo_inverse(frame):
 
 
 def left_inverse(frame, free_param=None):
-    """A left inverse of T from the full parametrization.
+    """The N x K left inverse pinv(T) + M (I_K - T pinv(T)) of T for the
+    N x K matrix M = free_param.
 
-    Every left inverse is pinv(T) + M (I_K - T pinv(T)) for some N x K
-    matrix M; conversely any L with L T = I satisfies the identity with
-    M = L.  free_param=None selects M = 0, the minimum-norm choice whose
-    columns are the canonical dual vectors.
+    Every left inverse of T has this form for some M; conversely any L with
+    L T = I satisfies the identity with M = L.  free_param=None selects
+    M = 0, the minimum-norm choice whose columns are the canonical dual
+    vectors.
     """
     pinv = pseudo_inverse(frame)
     k = frame.num_vectors
@@ -300,8 +285,7 @@ def left_inverse(frame, free_param=None):
         m = _as_complex_matrix(free_param, "free_param", (frame.dim, k))
     residual = np.eye(k, dtype=np.complex128) - frame.analysis @ pinv
     with np.errstate(over="ignore", invalid="ignore"):
-        matrix = _checked_operator(pinv + m @ residual, nonzero=False, name="left inverse")
-    return LeftInverse(matrix=matrix, free_param=m)
+        return _checked_operator(pinv + m @ residual, nonzero=False, name="left inverse")
 
 
 def is_left_inverse(frame, matrix, tol=FRAME_RTOL):
@@ -380,7 +364,7 @@ def naimark_dilate(frame):
     """Extend a tight frame with bound 1 to an orthonormal basis of C^K.
 
     The analysis matrix T then has orthonormal columns; Gram-Schmidt against
-    the standard basis appends K-N more, giving a K x K unitary U with
+    the standard basis appends K-N more; the K x K unitary U returned has
     U[:, :N] = T.  Zeroing the coordinates beyond N in row k of U leaves the
     analysis row of g_k: the frame is the coordinate projection of an
     orthonormal basis.
@@ -414,7 +398,7 @@ def naimark_dilate(frame):
         have += 1
     if have != k:
         raise NotAFrameError("orthonormal completion failed")  # unreachable for unitary input
-    return NaimarkDilation(unitary=basis, subspace_dim=n)
+    return basis
 
 
 def unitary_transform(frame, u):

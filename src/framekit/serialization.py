@@ -56,12 +56,21 @@ def _matrix_fields(arr):
     return {"rows": int(rows), "cols": int(cols), "data": arr.view(np.float64).reshape(-1, 2)}
 
 
+def _as_strict_int(value):
+    """int(value), refusing a bool and a float with a fractional part."""
+    if isinstance(value, bool):
+        raise ValueError("boolean is not an integer")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("not an integer")
+    return int(value)
+
+
 def matrix_from_json(obj):
     if not isinstance(obj, dict):
         raise ParseError("matrix JSON must be an object")
     try:
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
+        rows = _as_strict_int(obj["rows"])
+        cols = _as_strict_int(obj["cols"])
         data = obj["data"]
     except (KeyError, TypeError, ValueError, OverflowError):
         raise ParseError("matrix JSON needs integer 'rows', 'cols' and a 'data' list") from None

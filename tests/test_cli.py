@@ -183,7 +183,59 @@ def test_usage_errors(tmp_path, capsys):
     assert run_cli(capsys, "frame-bounds")[0] == 2  # missing --input
     assert run_cli(capsys, "no-such-verb")[0] == 2
     path = write_matrix(tmp_path / "f.json", np.eye(2))
-    assert run_cli(capsys, "frame-bounds", "--input", path, "--format", "xml")[0] == 2
+    code, out, err = run_cli(capsys, "frame-dual", "--input", path, "--format", "xml")
+    assert (code, out) == (2, "") and "invalid choice" in err
+
+
+def test_format_only_where_the_report_has_a_csv_form(tmp_path, capsys):
+    frame = write_matrix(tmp_path / "mb.json", MB_VECTORS)
+    unit = write_matrix(tmp_path / "unit.json", np.array(MB_VECTORS) * np.sqrt(2.0 / 3.0))
+    signal = write_matrix(tmp_path / "f.json", [[0.0, 1.0]])
+    gabor_argv = ["--proto", "gaussian", "--n", "8", "--shift", "2", "--mods", "4"]
+    sample_argv = ["--n", "8", "--band", "1"]
+    for argv in (
+        ["frame-analyze", "--input", frame, "--signal", signal],
+        ["frame-dual", "--input", frame],
+        ["frame-tighten", "--input", frame],
+        ["gabor-build", *gabor_argv],
+        ["gabor-dual", *gabor_argv],
+    ):
+        report = out_json(capsys, *argv, "--format", "json")
+        want = matrix_csv_text(matrix_from_json(report)) + "\n"
+        assert run_cli(capsys, *argv, "--format", "csv") == (0, want, ""), argv
+    sweep = ["sample-sweep", *sample_argv, "--periods", "2,1", "--trials", "3"]
+    code, want, _ = run_cli(capsys, *sweep)
+    assert code == 0 and want.startswith(cli.SWEEP_HEADER + "\n")
+    assert run_cli(capsys, *sweep, "--format", "csv") == (0, want, "")
+    # a verb whose report is JSON only refuses the flag before reading anything
+    for argv in (
+        ["frame-bounds", "--input", frame],
+        ["frame-naimark", "--input", unit],
+        ["frame-exactness", "--input", frame],
+        ["gabor-check", *gabor_argv],
+        ["sample-reconstruct", *sample_argv, "--period", "2"],
+        ["sample-mse", *sample_argv, "--period", "2", "--trials", "3"],
+    ):
+        assert run_cli(capsys, *argv)[0] == 0, argv
+        for fmt in ("csv", "json"):
+            code, out, err = run_cli(capsys, *argv, "--format", fmt)
+            assert (code, out) == (2, ""), argv
+            assert err.splitlines()[-1] == "framekit: error: unrecognized arguments: --format %s" % fmt
+
+
+def test_sample_reconstruct_takes_no_noise_settings(tmp_path, capsys):
+    argv = ["sample-reconstruct", "--n", "8", "--band", "1", "--period", "2"]
+    code, want, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(want)["pr"] is True
+    for flag in ("--sigma2", "--trials"):
+        code, out, err = run_cli(capsys, *argv, flag, "3")
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == "framekit: error: unrecognized arguments: %s 3" % flag
+    # their config values are not read, so bad ones are no error
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 8, "band": 1, "period": 2, "sigma2": "x", "trials": "many"}))
+    assert run_cli(capsys, "sample-reconstruct", "--input", str(cfg)) == (0, want, "")
+    assert out_error(capsys, "sample-mse", "--input", str(cfg)) == "parse_error"
 
 
 def test_file_errors(tmp_path, capsys):
@@ -444,10 +496,6 @@ def test_sampling_request_errors_keep_their_order(tmp_path, capsys):
     assert run_cli(capsys, "sample-mse", "--n", "8", "--trials", huge)[0] == 2
     assert out_error(capsys, "sample-mse", "--n", "8", "--band", "1", "--trials", huge) == "too_large"
     assert out_error(capsys, "sample-sweep", "--n", "8", "--band", "1", "--trials", huge) == "too_large"
-    # sample-reconstruct draws one signal whatever the trial count
-    report = out_json(capsys, "sample-reconstruct", "--n", "8", "--band", "1", "--period", "2",
-                      "--trials", huge)
-    assert report["pr"] is True
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": "x", "band": 1}))
     assert out_error(capsys, "sample-mse", "--input", str(cfg)) == "parse_error"
@@ -553,6 +601,8 @@ UNTRUSTED_INPUTS = (
     (["frame-bounds", "--input", "{huge_entry}"], "parse_error"),
     (["gabor-dual", "--proto", "{huge_entry}", "--n", "2", "--shift", "1", "--mods", "2"], "parse_error"),
     (["sample-mse", "--input", "{huge_sigma2}"], "parse_error"),
+    # a dimension with a fractional part
+    (["frame-bounds", "--input", "{frac_dims}"], "parse_error"),
 )
 
 
@@ -567,6 +617,7 @@ def test_untrusted_inputs_report_typed_errors(tmp_path, capsys):
         ("huge_dims", '{"rows": 1e400, "cols": 1, "data": [[1, 0]]}'),
         ("huge_entry", '{"rows": 1, "cols": 2, "data": [[%s, 0], [1, 0]]}' % huge),
         ("huge_sigma2", '{"n": 8, "band": 1, "period": 2, "trials": 3, "sigma2": %s}' % huge),
+        ("frac_dims", '{"rows": 2.7, "cols": 1, "data": [[1, 0], [0, 0]]}'),
     ):
         files[name] = tmp_path / (name + ".json")
         files[name].write_text(text)

@@ -123,9 +123,9 @@ def test_left_inverse_family(seed, dim):
     # by (I - L T) pinv, where ||pinv|| = 1 / sqrt(lower)
     delta = 2 * OFF_TOLERANCE * dim * cond
     tol = delta * (1 + np.linalg.norm(m) * np.sqrt(b.upper))
-    left = left_inverse(f, m).matrix
+    left = left_inverse(f, m)
     assert is_left_inverse(f, left, tol=tol)
-    again = left_inverse(f, left).matrix
+    again = left_inverse(f, left)
     assert np.max(np.abs(again - left)) <= tol / np.sqrt(b.lower)
 
 
@@ -160,6 +160,7 @@ def test_gabor_dual_window_solves_the_frame_operator(seed, lattice, k):
 
 FRAME_VERBS = ("frame-bounds", "frame-dual", "frame-tighten", "frame-naimark", "frame-exactness")
 GABOR_VERBS = ("gabor-build", "gabor-dual", "gabor-check")
+CSV_VERBS = ("frame-analyze", "frame-dual", "frame-tighten", "gabor-build", "gabor-dual")
 GABOR_PARAMS = [(m, t, k) for m in (4, 6, 8, 12) for t in range(1, m + 1) if m % t == 0
                 for k in (1, 2, 3, 4, 6) if m % k == 0]
 
@@ -204,4 +205,5 @@ def test_cli_reports_are_byte_deterministic(seed, dim, redundancy, gabor_params,
         argvs += [[verb, "--proto", source, "--n", str(m), "--shift", str(t), "--mods", str(k)]
                   for verb in GABOR_VERBS]
         for argv in argvs:
-            _assert_deterministic(argv + ["--format", fmt], path("report.out"))
+            fmt_argv = ["--format", fmt] if argv[0] in CSV_VERBS else []
+            _assert_deterministic(argv + fmt_argv, path("report.out"))
