@@ -17,7 +17,7 @@ import numpy as np
 from . import frames, gabor, sampling
 from .errors import DomainError, ParseError
 from .serialization import (
-    _as_strict_int,
+    _as_strict,
     _fill,
     _matrix_fields,
     dumps_report,
@@ -203,13 +203,13 @@ def _cmd_gabor_check(args):
 
 
 def _config_value(args, cfg, key, kind, default=None):
-    """The flag's value, else the config file's, else default, else a usage error."""
+    """The flag's value, else the config file's read by _as_strict, else default, else a usage error."""
     value = getattr(args, key, None)
     if value is not None:
         return value  # argparse already typed flag values
     if key in cfg:
         try:
-            return kind(cfg[key])
+            return _as_strict(cfg[key], kind)
         except (TypeError, ValueError, OverflowError):
             raise ParseError("bad config value for %r: %r" % (key, cfg[key])) from None
     if default is None:
@@ -227,18 +227,18 @@ def _sampling_setup(args):
         if not isinstance(cfg, dict):
             raise ParseError("config JSON must be an object")
     req = argparse.Namespace(
-        n=_config_value(args, cfg, "n", _as_strict_int),
-        band=_config_value(args, cfg, "band", _as_strict_int),
+        n=_config_value(args, cfg, "n", int),
+        band=_config_value(args, cfg, "band", int),
         trials=1,  # sample-reconstruct draws a single signal and no trials
     )
     if args.verb != "sample-reconstruct":
         req.sigma2 = _config_value(args, cfg, "sigma2", float, SAMPLE_DEFAULTS["sigma2"])
-        req.trials = _config_value(args, cfg, "trials", _as_strict_int, SAMPLE_DEFAULTS["trials"])
-    req.seed = _config_value(args, cfg, "seed", _as_strict_int, SAMPLE_DEFAULTS["seed"])
+        req.trials = _config_value(args, cfg, "trials", int, SAMPLE_DEFAULTS["trials"])
+    req.seed = _config_value(args, cfg, "seed", int, SAMPLE_DEFAULTS["seed"])
     req.filter = _config_value(args, cfg, "filter", str, SAMPLE_DEFAULTS["filter"])
     sampling.check_trial_budget(req.n, req.trials)
     if args.verb != "sample-sweep":
-        req.periods = [_config_value(args, cfg, "period", _as_strict_int)]
+        req.periods = [_config_value(args, cfg, "period", int)]
         return req
     if args.periods is not None:
         try:
@@ -252,7 +252,7 @@ def _sampling_setup(args):
         if not isinstance(raw, list) or not raw:
             raise ParseError("config 'periods' must be a nonempty list")
         try:
-            periods = [_as_strict_int(tok) for tok in raw]
+            periods = [_as_strict(tok, int) for tok in raw]
         except (TypeError, ValueError):
             raise ParseError("bad config periods %r" % (raw,)) from None
     else:

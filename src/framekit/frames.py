@@ -270,28 +270,24 @@ def pseudo_inverse(frame):
 
 def left_inverse(frame, free_param=None):
     """The N x K left inverse pinv(T) + M (I_K - T pinv(T)) of T for the
-    N x K matrix M = free_param.
+    N x K matrix M = free_param, formed as pinv + M - (M T) pinv.
 
-    Every left inverse of T has this form for some M; conversely any L with
-    L T = I satisfies the identity with M = L.  free_param=None selects
-    M = 0, the minimum-norm choice whose columns are the canonical dual
-    vectors.
+    Every left inverse of T has this form for some M, and any L with L T = I
+    satisfies it with M = L.  free_param=None returns pinv(T) itself (M = 0),
+    the minimum-norm choice whose columns are the canonical dual vectors.
     """
     pinv = pseudo_inverse(frame)
-    k = frame.num_vectors
     if free_param is None:
-        m = np.zeros((frame.dim, k), dtype=np.complex128)
-    else:
-        m = _as_complex_matrix(free_param, "free_param", (frame.dim, k))
-    residual = np.eye(k, dtype=np.complex128) - frame.analysis @ pinv
+        return pinv
+    m = _as_complex_matrix(free_param, "free_param", (frame.dim, frame.num_vectors))
     with np.errstate(over="ignore", invalid="ignore"):
-        return _checked_operator(pinv + m @ residual, nonzero=False, name="left inverse")
+        return _checked_operator(pinv + m - (m @ frame.analysis) @ pinv, nonzero=False, name="left inverse")
 
 
-def is_left_inverse(frame, matrix, tol=FRAME_RTOL):
-    """Check L T = I_N within tol (max entry deviation)."""
+def is_left_inverse(frame, matrix):
+    """Check L T = I_N within FRAME_RTOL (max entry deviation)."""
     l = _as_complex_matrix(matrix, "matrix", (frame.dim, frame.num_vectors))
-    return bool(np.max(np.abs(l @ frame.analysis - np.eye(frame.dim))) <= tol)
+    return bool(np.max(np.abs(l @ frame.analysis - np.eye(frame.dim))) <= FRAME_RTOL)
 
 
 def range_projection(frame):
@@ -313,13 +309,14 @@ def tighten(frame):
 
 
 def exactness_profile(frame):
-    """Diagonal <dual_m, g_m> and the exact/inexact classification.
+    """Diagonal <dual_k, g_k> of the range projection, formed row by row as
+    Re sum_n (T S^{-1})[k, n] conj(T[k, n]), and the exact/inexact label.
 
     A frame is exact (a Riesz basis: no vector can be removed) iff every
     diagonal entry equals 1 within FRAME_RTOL; the diagonal is real because
     it is a Hermitian quadratic form.
     """
-    diag = np.real(np.diag(range_projection(frame))).copy()
+    diag = np.real((canonical_dual(frame).analysis * frame.analysis.conj()).sum(axis=1))
     exact = np.max(np.abs(diag - 1.0)) <= FRAME_RTOL
     label = ExactnessProfile.EXACT if exact else ExactnessProfile.INEXACT
     return ExactnessProfile(diagonal=diag, classification=label)

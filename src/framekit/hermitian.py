@@ -1,7 +1,7 @@
 """Hermitian eigendecomposition by round-robin Jacobi rotations.
 
 Self-contained solver for the small Hermitian matrices this package produces
-(frame operators, their Walnut blocks, range projections).  Each rotation
+(frame operators, whole or as a Gabor frame's Zak-domain blocks).  Each rotation
 zeroes one off-diagonal pair through a complex plane rotation.  A sweep visits
 every pair once in round-robin (Brent-Luk) order: each of its n - 1 steps
 pairs every index with one other, so the n/2 rotations of a step touch

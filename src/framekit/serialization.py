@@ -56,21 +56,23 @@ def _matrix_fields(arr):
     return {"rows": int(rows), "cols": int(cols), "data": arr.view(np.float64).reshape(-1, 2)}
 
 
-def _as_strict_int(value):
-    """int(value), refusing a bool and a float with a fractional part."""
-    if isinstance(value, bool):
-        raise ValueError("boolean is not an integer")
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError("not an integer")
-    return int(value)
+def _as_strict(value, kind):
+    """kind(value) for a file value of kind's JSON type: a string for str, any
+    number for float, an integer or an integral float (2.0) for int; a bool
+    is none of these.  Any other value raises TypeError."""
+    if kind is int and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise TypeError("%r is not a JSON %s" % (value, kind.__name__))
+    return kind(value)
 
 
 def matrix_from_json(obj):
     if not isinstance(obj, dict):
         raise ParseError("matrix JSON must be an object")
     try:
-        rows = _as_strict_int(obj["rows"])
-        cols = _as_strict_int(obj["cols"])
+        rows = _as_strict(obj["rows"], int)
+        cols = _as_strict(obj["cols"], int)
         data = obj["data"]
     except (KeyError, TypeError, ValueError, OverflowError):
         raise ParseError("matrix JSON needs integer 'rows', 'cols' and a 'data' list") from None

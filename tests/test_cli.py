@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -168,6 +169,28 @@ def test_frame_exactness(tmp_path, capsys):
     path = write_matrix(tmp_path / "b.json", np.eye(2))
     report = out_json(capsys, "frame-exactness", "--input", path)
     assert report["classification"] == "exact"
+
+
+def test_frame_exactness_of_a_tall_frame_stays_small(tmp_path):
+    # a K x K range projection of 20000 vectors would take 6.4 GB per copy
+    rng = np.random.default_rng(67)
+    path = tmp_path / "tall.csv"
+    path.write_text("\n".join("%r,%r" % tuple(row) for row in rng.standard_normal((20000, 2)).tolist()))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(framekit.__file__)))
+    with open(tmp_path / "out.json", "wb") as out, open(tmp_path / "err.txt", "wb") as err:
+        start = time.perf_counter()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "framekit.cli", "frame-exactness", "--input", str(path)],
+            stdout=out, stderr=err, env=env,
+        )
+        # wait4 gives this child's own usage, which RUSAGE_CHILDREN would
+        # merge with other tests' subprocesses; ru_maxrss is in KiB
+        _, status, usage = os.wait4(proc.pid, 0)
+        seconds = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped by wait4
+    assert proc.returncode == 0 and (tmp_path / "err.txt").read_bytes() == b""
+    assert len(json.loads((tmp_path / "out.json").read_text())["diagonal"]) == 20000
+    assert seconds < 2.0 and usage.ru_maxrss < 100 * 1024, (seconds, usage.ru_maxrss)
 
 
 def test_frame_exactness_nonspanning(tmp_path, capsys):
@@ -514,11 +537,22 @@ def test_sample_config_rejections_keep_their_codes(tmp_path, capsys):
         ({"n": 8, "band": 1, "period": 2, "trials": 2.5}, "bad config value for 'trials': 2.5"),
         ({"n": 8, "band": 1, "periods": []}, "config 'periods' must be a nonempty list"),
         ({"n": 8, "band": 1, "period": 2, "sigma2": 10**400}, "bad config value for 'sigma2': %r" % 10**400),
+        # a value is read only as the JSON type of its flag: no string is a
+        # number, no bool is a variance and no number is a filter
+        ({"n": "8", "band": 1, "period": 2}, "bad config value for 'n': '8'"),
+        ({"n": 8, "band": 1, "periods": ["2", " 4 "]}, "bad config periods ['2', ' 4 ']"),
+        ({"n": 8, "band": 1, "period": 2, "sigma2": True}, "bad config value for 'sigma2': True"),
+        ({"n": 8, "band": 1, "period": 2, "sigma2": "1.5"}, "bad config value for 'sigma2': '1.5'"),
+        ({"n": 8, "band": 1, "period": 2, "filter": 5}, "bad config value for 'filter': 5"),
     ):
         cfg.write_text(json.dumps(config))
         verb = "sample-sweep" if "periods" in config else "sample-mse"
         code, out, _ = run_cli(capsys, verb, "--input", str(cfg))
         assert (code, json.loads(out)) == (1, {"error": "parse_error", "detail": detail})
+    # an integral float is an integer, and an integer a variance
+    cfg.write_text(json.dumps({"n": 8.0, "band": 1, "period": 2.0, "trials": 3.0, "sigma2": 2}))
+    report = out_json(capsys, "sample-mse", "--input", str(cfg))
+    assert (report["n"], report["period"], report["trials"], report["sigma2"]) == (8, 2, 3, 2.0)
     # usage errors found after parsing print the verb's usage block first, as
     # argparse's own do
     for argv, line in (
@@ -601,8 +635,9 @@ UNTRUSTED_INPUTS = (
     (["frame-bounds", "--input", "{huge_entry}"], "parse_error"),
     (["gabor-dual", "--proto", "{huge_entry}", "--n", "2", "--shift", "1", "--mods", "2"], "parse_error"),
     (["sample-mse", "--input", "{huge_sigma2}"], "parse_error"),
-    # a dimension with a fractional part
+    # a dimension with a fractional part, dimensions given as strings
     (["frame-bounds", "--input", "{frac_dims}"], "parse_error"),
+    (["frame-bounds", "--input", "{str_dims}"], "parse_error"),
 )
 
 
@@ -618,6 +653,7 @@ def test_untrusted_inputs_report_typed_errors(tmp_path, capsys):
         ("huge_entry", '{"rows": 1, "cols": 2, "data": [[%s, 0], [1, 0]]}' % huge),
         ("huge_sigma2", '{"n": 8, "band": 1, "period": 2, "trials": 3, "sigma2": %s}' % huge),
         ("frac_dims", '{"rows": 2.7, "cols": 1, "data": [[1, 0], [0, 0]]}'),
+        ("str_dims", '{"rows": "2", "cols": " 1 ", "data": [[1, 0], [0, 0]]}'),
     ):
         files[name] = tmp_path / (name + ".json")
         files[name].write_text(text)

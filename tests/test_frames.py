@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -241,7 +242,7 @@ def test_left_inverse_random_free_param():
             (f.dim, f.num_vectors)
         )
         li = left_inverse(f, free_param=m)
-        assert is_left_inverse(f, li, tol=1e-8)
+        assert is_left_inverse(f, li)
 
 
 def test_every_left_inverse_fits_parametrization():
@@ -377,6 +378,26 @@ def test_exactness_rejects_nonspanning():
         exactness_profile(Frame.from_vectors([[1.0, 0.0], [2.0, 0.0]]))
 
 
+def test_exactness_and_left_inverse_form_no_k_by_k_matrix():
+    # K = 4000 vectors in C^2: one K x K complex matrix is 256 MB
+    rng = np.random.default_rng(61)
+    k, n = 4000, 2
+    f = Frame(rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n)))
+    m = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    frame_bounds(f)  # the spectrum is cached before the peaks are taken
+    for call in (lambda: exactness_profile(f), lambda: left_inverse(f), lambda: left_inverse(f, m)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak
+    # the diagonal of a projection of rank N sums to N; L T = I
+    assert abs(float(np.sum(exactness_profile(f).diagonal)) - n) <= 1e-10 * n
+    assert is_left_inverse(f, left_inverse(f)) and is_left_inverse(f, left_inverse(f, m))
+
+
 def test_inexact_frame_survives_deletion():
     f = redundant_basis()
     for k in range(3):
@@ -481,6 +502,18 @@ def test_naimark_harmonic():
     u = naimark_dilate(f)
     assert np.allclose(u.conj().T @ u, np.eye(4), atol=1e-12)
     assert np.allclose(u[:, :2], f.analysis)
+
+
+def test_naimark_skips_a_basis_vector_in_the_span():
+    # e_0 is the first column of T, so Gram-Schmidt drops it and completes
+    # the basis from e_1
+    f = Frame([[1.0, 0.0], [0.0, 1.0 / np.sqrt(2.0)], [0.0, 1.0 / np.sqrt(2.0)]])
+    u = naimark_dilate(f)
+    assert u.shape == (3, 3)
+    assert np.allclose(u.conj().T @ u, np.eye(3), atol=1e-12)
+    assert np.array_equal(u[:, :2], f.analysis)
+    completion = np.array([0.0, 1.0, -1.0]) / np.sqrt(2.0)
+    assert min(np.max(np.abs(u[:, 2] - s * completion)) for s in (1.0, -1.0)) <= 1e-15
 
 
 def test_naimark_requires_redundancy():

@@ -359,11 +359,14 @@ def test_named_prototype_unknown():
 
 def test_named_prototype_length_must_be_an_integer():
     # a float length once gave a 3-sample gaussian, and a bool or float
-    # length numpy's untyped TypeError for delta and boxcar
+    # length numpy's untyped TypeError for delta and boxcar; an integer
+    # length must also be positive
     for name in PROTOTYPE_NAMES:
         for length in (2.5, 3.0, True):
             with pytest.raises(DimensionMismatchError, match="length must be an integer"):
                 named_prototype(name, length)
+        with pytest.raises(DimensionMismatchError, match="length must be >= 1"):
+            named_prototype(name, 0)
     assert named_prototype("gaussian", np.int64(3)).shape == (3,)
 
 

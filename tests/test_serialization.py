@@ -99,8 +99,9 @@ def test_matrix_from_json_validation():
         matrix_from_json({"rows": float("inf"), "cols": 1, "data": [[1, 0]]})
     with pytest.raises(ParseError, match="matrix entries must be finite"):
         matrix_from_json({"rows": 1, "cols": 2, "data": [[1, 0], [0, 10**400]]})
-    # dimensions that int() would truncate to a fitting shape; an integral float is an integer
-    for rows, cols in ((2.7, 1), (True, 1), (2, 1.5), (1, True)):
+    # dimensions that int() would read as a fitting shape: truncated, a bool or
+    # a numeric string; an integral float is an integer
+    for rows, cols in ((2.7, 1), (True, 1), (2, 1.5), (1, True), ("2", " 1 "), (2, "1")):
         with pytest.raises(ParseError, match="needs integer 'rows', 'cols'"):
             matrix_from_json({"rows": rows, "cols": cols, "data": [[1, 0]] * (int(rows) * int(cols))})
     assert np.array_equal(matrix_from_json({"rows": 2.0, "cols": 1.0, "data": [[1, 0], [0, 0]]}), [[1], [0]])
