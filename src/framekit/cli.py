@@ -74,7 +74,7 @@ def build_parser():
     for name, help_, handler in (
         ("gabor-build", "build the Weyl-Heisenberg frame of a prototype", _cmd_gabor_build),
         ("gabor-dual", "dual prototype S^{-1} g", _cmd_gabor_dual),
-        ("gabor-check", "bounds plus dual-structure verification", _cmd_gabor_check),
+        ("gabor-check", "frame bounds; the dual is Gabor-structured when it is a frame", _cmd_gabor_check),
     ):
         p = add(name, help_, handler, csv=name != "gabor-check")
         p.add_argument("--proto", required=True, help="delta|gaussian|boxcar or a vector file")
@@ -194,11 +194,9 @@ def _cmd_gabor_check(args):
     proto, params = _gabor_setup(args)
     system = gabor.build_gabor_frame(proto, params)
     report = _bounds_report(system)
-    if report["is_frame"]:
-        dual_frame = frames.canonical_dual(system)  # the Gabor frame of S^{-1} g
-        report["wh_structure"] = gabor.verify_wh_structure(dual_frame, dual_frame.prototype, params)
-    else:
-        report["wh_structure"] = None
+    # the dual is the Gabor system of S^{-1} g; test_gabor_dual_is_the_system_of_its_prototype
+    # and test_block_operators_match_the_dense_oracle check that against the dense Frame
+    report["wh_structure"] = True if report["is_frame"] else None
     return dumps_report(report)
 
 

@@ -275,11 +275,14 @@ def left_inverse(frame, free_param=None):
     Every left inverse of T has this form for some M, and any L with L T = I
     satisfies it with M = L.  free_param=None returns pinv(T) itself (M = 0),
     the minimum-norm choice whose columns are the canonical dual vectors.
+    A basis (K = N) has the one left inverse pinv(T), whatever M is.
     """
     pinv = pseudo_inverse(frame)
     if free_param is None:
         return pinv
     m = _as_complex_matrix(free_param, "free_param", (frame.dim, frame.num_vectors))
+    if frame.num_vectors == frame.dim:
+        return pinv
     with np.errstate(over="ignore", invalid="ignore"):
         return _checked_operator(pinv + m - (m @ frame.analysis) @ pinv, nonzero=False, name="left inverse")
 

@@ -260,9 +260,7 @@ def mse_decomposition(filt, model, sigma2):
 class NoiseExperiment:
     """Monte Carlo noise study alongside its analytic prediction."""
 
-    sigma2: float
     trials: int
-    seed: int
     estimate: float
     stderr: float
     analytic: float
@@ -308,14 +306,7 @@ def monte_carlo_mse(x, filt, model, sigma2, trials, seed):
         analytic = analytic_mse(filt, model, sigma2)[0]
     if not np.isfinite([estimate, stderr, analytic]).all():
         raise NumericOverflowError("Monte Carlo MSE overflows: sigma2 too large for float64")
-    return NoiseExperiment(
-        sigma2=float(sigma2),
-        trials=int(trials),
-        seed=int(seed),
-        estimate=estimate,
-        stderr=stderr,
-        analytic=analytic,
-    )
+    return NoiseExperiment(trials=int(trials), estimate=estimate, stderr=stderr, analytic=analytic)
 
 
 def sampling_frame(model):

@@ -171,26 +171,40 @@ def test_frame_exactness(tmp_path, capsys):
     assert report["classification"] == "exact"
 
 
-def test_frame_exactness_of_a_tall_frame_stays_small(tmp_path):
-    # a K x K range projection of 20000 vectors would take 6.4 GB per copy
-    rng = np.random.default_rng(67)
-    path = tmp_path / "tall.csv"
-    path.write_text("\n".join("%r,%r" % tuple(row) for row in rng.standard_normal((20000, 2)).tolist()))
+def run_child(tmp_path, *argv):
+    """Exit code, stdout, stderr, wall seconds and peak RSS (KiB) of one CLI
+    process.  The peak starts at this process's resident size."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(framekit.__file__)))
-    with open(tmp_path / "out.json", "wb") as out, open(tmp_path / "err.txt", "wb") as err:
+    with open(tmp_path / "out.txt", "wb") as out, open(tmp_path / "err.txt", "wb") as err:
         start = time.perf_counter()
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "framekit.cli", "frame-exactness", "--input", str(path)],
-            stdout=out, stderr=err, env=env,
-        )
+        proc = subprocess.Popen([sys.executable, "-m", "framekit.cli", *argv], stdout=out, stderr=err, env=env)
         # wait4 gives this child's own usage, which RUSAGE_CHILDREN would
         # merge with other tests' subprocesses; ru_maxrss is in KiB
         _, status, usage = os.wait4(proc.pid, 0)
         seconds = time.perf_counter() - start
     proc.returncode = os.waitstatus_to_exitcode(status)  # reaped by wait4
-    assert proc.returncode == 0 and (tmp_path / "err.txt").read_bytes() == b""
-    assert len(json.loads((tmp_path / "out.json").read_text())["diagonal"]) == 20000
-    assert seconds < 2.0 and usage.ru_maxrss < 100 * 1024, (seconds, usage.ru_maxrss)
+    return (proc.returncode, (tmp_path / "out.txt").read_text(), (tmp_path / "err.txt").read_bytes(),
+            seconds, usage.ru_maxrss)
+
+
+def test_frame_exactness_of_a_tall_frame_stays_small(tmp_path):
+    # a K x K range projection of 20000 vectors would take 6.4 GB per copy
+    rng = np.random.default_rng(67)
+    path = tmp_path / "tall.csv"
+    path.write_text("\n".join("%r,%r" % tuple(row) for row in rng.standard_normal((20000, 2)).tolist()))
+    code, out, err, seconds, peak = run_child(tmp_path, "frame-exactness", "--input", str(path))
+    assert code == 0 and err == b""
+    assert len(json.loads(out)["diagonal"]) == 20000
+    assert seconds < 2.0 and peak < 100 * 1024, (seconds, peak)
+
+
+def test_gabor_check_at_the_size_limit_builds_only_the_system(tmp_path):
+    # the 16384 x 1024 system takes 268 MB; its dual's matrix would double that
+    argv = ("gabor-check", "--proto", "gaussian", "--n", "1024", "--shift", "8", "--mods", "128")
+    code, out, err, _seconds, peak = run_child(tmp_path, *argv)
+    assert code == 0 and err == b""
+    assert json.loads(out)["wh_structure"] is True
+    assert peak < 400 * 1024, peak
 
 
 def test_frame_exactness_nonspanning(tmp_path, capsys):

@@ -245,6 +245,17 @@ def test_left_inverse_random_free_param():
         assert is_left_inverse(f, li)
 
 
+def test_left_inverse_of_a_basis_ignores_the_free_parameter():
+    # K = N: T is invertible, I - T pinv = 0, and a huge M would only add noise
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3):
+        f = Frame.from_vectors(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        m = 1e300 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        li = left_inverse(f, m)
+        assert np.array_equal(li, pseudo_inverse(f))
+        assert is_left_inverse(f, li)
+
+
 def test_every_left_inverse_fits_parametrization():
     # converse: L a left inverse => L = pinv + L (I - T pinv)
     f = redundant_basis()

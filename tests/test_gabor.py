@@ -719,7 +719,7 @@ def record_inverse_blocks(monkeypatch):
     return formed
 
 
-def test_gabor_check_forms_the_inverse_blocks_once(monkeypatch, capsys):
+def test_gabor_check_forms_no_inverse_blocks(monkeypatch, capsys):
     from framekit import cli
 
     formed = record_inverse_blocks(monkeypatch)
@@ -727,11 +727,10 @@ def test_gabor_check_forms_the_inverse_blocks_once(monkeypatch, capsys):
     argv = ["gabor-check", "--proto", "gaussian", "--n", "48", "--shift", "4", "--mods", "12"]
     assert cli.run(argv) == 0
     assert '"wh_structure": true' in capsys.readouterr().out
-    # the 12 x 4 Zak-domain 1 x 1 blocks of S^{-1} are formed once, and S^{-1}
-    # is applied once, to g, by canonical_dual; the structure check reads that
-    # dual's prototype
-    assert formed == [(12, 4, 1, 1)]
-    assert applied == [((48, 1), False)]
+    # the bounds read the spectrum; the dual of a frame is the Gabor system of
+    # S^{-1} g by the theorem, so S^{-1} is neither formed nor applied
+    assert formed == []
+    assert applied == []
 
 
 def test_each_window_is_computed_once_per_frame(monkeypatch):

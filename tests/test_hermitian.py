@@ -202,6 +202,7 @@ def test_is_hermitian_is_relative_to_the_largest_entry():
     with pytest.raises(NotHermitianError):
         jacobi_eigh(tiny)
     assert is_hermitian(np.zeros((3, 3)))
+    assert is_hermitian(np.zeros((0, 0)))
     rng = np.random.default_rng(31)
     for scale in (1e-200, 1e-8, 1.0, 1e200):
         assert is_hermitian(scale * random_hermitian(rng, 4))
