@@ -259,25 +259,20 @@ def _sampling_setup(args):
     return req
 
 
-def _resolve_filter(spec, model):
-    if spec == "ideal":
-        return sampling.ideal_lowpass(model)
-    impulse = load_vector(spec)
-    if impulse.shape[0] != model.size:
-        raise ParseError(
-            "filter length %d, expected %d" % (impulse.shape[0], model.size)
-        )
-    return sampling.ReconFilter.from_impulse(impulse)
-
-
 def _sampling_runs(req):
-    """(model, filter, signal) per period.  The signal does not depend on the
-    period: it is drawn once, after the first model has reported any bad
-    argument."""
-    signal = None
+    """(model, filter, signal) per period.  The filter file is read and the
+    signal drawn once, after the first model has reported any bad argument:
+    neither depends on the period."""
+    impulse = signal = None
     for period in req.periods:
         model = sampling.SamplingModel(size=req.n, band=req.band, period=period)
-        filt = _resolve_filter(req.filter, model)
+        if req.filter == "ideal":
+            filt = sampling.ideal_lowpass(model)
+        else:
+            impulse = load_vector(req.filter) if impulse is None else impulse
+            if impulse.shape[0] != model.size:
+                raise ParseError("filter length %d, expected %d" % (impulse.shape[0], model.size))
+            filt = sampling.ReconFilter.from_impulse(impulse)
         if signal is None:
             signal = sampling.make_bandlimited(req.n, req.band, req.seed)
         yield model, filt, signal

@@ -223,6 +223,11 @@ def reconstruct(samples, filt, model):
     return np.fft.ifft(np.fft.fft(stuffed) * spectrum)
 
 
+def _check_sigma2(sigma2):
+    if not 0 <= sigma2 < np.inf:
+        raise DimensionMismatchError("sigma2 must be finite and >= 0")
+
+
 def analytic_mse(filt, model, sigma2):
     """Noise MSE from the impulse response: average and per-position profile.
 
@@ -231,6 +236,7 @@ def analytic_mse(filt, model, sigma2):
     always equals the spectral form sigma2/(N Ts) * sum |H|^2; the profile
     itself is flat for PR filters supported in one alias period.
     """
+    _check_sigma2(sigma2)
     h = _filter_arrays(filt, model)[0]
     energy = np.abs(h) ** 2
     poly = energy.reshape(model.num_samples, model.period).sum(axis=0)
@@ -245,6 +251,7 @@ def mse_decomposition(filt, model, sigma2):
     outband is everything else, carried entirely by don't-care bins since the
     alias images are pinned at zero.  The two add up to the total.
     """
+    _check_sigma2(sigma2)
     if not is_perfect(filt, model):
         raise NotPerfectReconstructionError("filter does not satisfy the PR constraints")
     spectrum = np.asarray(filt.spectrum)
@@ -284,8 +291,7 @@ def monte_carlo_mse(x, filt, model, sigma2, trials, seed):
     if trials < 1:
         raise DimensionMismatchError("trials must be >= 1")
     check_trial_budget(model.size, trials)
-    if not 0 <= sigma2 < np.inf:
-        raise DimensionMismatchError("sigma2 must be finite and >= 0")
+    _check_sigma2(sigma2)
     y = sample(x, model)
     l = model.num_samples
     per_trial = np.empty(trials)

@@ -464,6 +464,23 @@ def test_sample_filter_file(tmp_path, capsys):
     )
 
 
+def test_sample_sweep_reads_the_filter_file_once(tmp_path, capsys, monkeypatch):
+    impulse = sampling.ideal_lowpass(sampling.SamplingModel(size=16, band=1, period=4)).impulse
+    fpath = tmp_path / "h.csv"
+    fpath.write_text(matrix_csv_text(impulse.reshape(1, -1)))
+    loads = []
+
+    def counted(path):
+        loads.append(path)
+        return load_vector(path)
+
+    monkeypatch.setattr(cli, "load_vector", counted)
+    code, out, _ = run_cli(capsys, "sample-sweep", "--n", "16", "--band", "1", "--periods", "4,2,1",
+                           "--trials", "3", "--filter", str(fpath))
+    assert code == 0 and len(out.strip().splitlines()) == 4
+    assert loads == [str(fpath)]
+
+
 def test_sample_sweep_csv(capsys):
     code, out, _ = run_cli(
         capsys, "sample-sweep", "--n", "64", "--band", "4", "--periods", "4,2,1",

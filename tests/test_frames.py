@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import time
 import tracemalloc
 import warnings
 
@@ -515,9 +516,9 @@ def test_naimark_harmonic():
     assert np.allclose(u[:, :2], f.analysis)
 
 
-def test_naimark_skips_a_basis_vector_in_the_span():
-    # e_0 is the first column of T, so Gram-Schmidt drops it and completes
-    # the basis from e_1
+def test_naimark_completes_a_frame_holding_a_basis_vector():
+    # e_0 is the first column of T, so the first reflection only negates
+    # coordinate 0; the one completion is +-(e_1 - e_2)/sqrt(2)
     f = Frame([[1.0, 0.0], [0.0, 1.0 / np.sqrt(2.0)], [0.0, 1.0 / np.sqrt(2.0)]])
     u = naimark_dilate(f)
     assert u.shape == (3, 3)
@@ -525,6 +526,16 @@ def test_naimark_skips_a_basis_vector_in_the_span():
     assert np.array_equal(u[:, :2], f.analysis)
     completion = np.array([0.0, 1.0, -1.0]) / np.sqrt(2.0)
     assert min(np.max(np.abs(u[:, 2] - s * completion)) for s in (1.0, -1.0)) <= 1e-15
+
+
+def test_naimark_of_a_thousand_vectors_is_fast():
+    k = 1000
+    f = Frame(np.exp(-2j * np.pi * np.outer(np.arange(k), np.arange(2)) / k) / np.sqrt(k))
+    start = time.perf_counter()
+    u = naimark_dilate(f)
+    assert time.perf_counter() - start < 1.0
+    assert np.max(np.abs(u.conj().T @ u - np.eye(k))) <= 1e-13
+    assert np.array_equal(u[:, :2], f.analysis)
 
 
 def test_naimark_requires_redundancy():
@@ -661,6 +672,19 @@ def test_frame_operator_overflow_is_typed_and_silent():
         for op in (frame_bounds, canonical_dual, tighten, exactness_profile, naimark_dilate):
             with pytest.raises(NumericOverflowError):
                 op(huge)
+
+
+def test_reconstruct_and_unitary_transform_overflow_is_typed_and_silent():
+    f = harmonic_frame(2, 2)
+    rotation = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericOverflowError, match="reconstruction overflows"):
+            reconstruct(f, Frame(np.full((4, 2), 1e300)), np.full(4, 1e300))
+        with pytest.raises(NotUnitaryError):
+            unitary_transform(f, np.full((2, 2), 1e200))
+        with pytest.raises(NumericOverflowError, match="transformed frame overflows"):
+            unitary_transform(Frame([[1.5e308, 1.5e308], [1.0, 0.0]]), rotation)
 
 
 def test_bounds_of_huge_frames_are_not_truncated():

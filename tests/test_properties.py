@@ -25,6 +25,8 @@ from framekit import (
     frame_bounds,
     frame_operator,
     left_inverse,
+    naimark_dilate,
+    tighten,
     unitary_transform,
 )
 from framekit.gabor import GaborParams, build_gabor_frame, gabor_dual_prototype
@@ -126,6 +128,17 @@ def test_left_inverse_family(seed, dim):
     assert np.max(np.abs(left @ f.analysis - np.eye(dim))) <= tol
     again = left_inverse(f, left)
     assert np.max(np.abs(again - left)) <= tol / np.sqrt(b.lower)
+
+
+@PROPERTY
+@given(seeds, st.data())
+def test_naimark_dilation_is_unitary_and_keeps_the_frame(seed, data):
+    dim = data.draw(st.integers(min_value=1, max_value=8))
+    count = data.draw(st.integers(min_value=dim + 1, max_value=3 * dim))
+    f = tighten(random_frame(np.random.default_rng(seed), dim=dim, count=count))
+    u = naimark_dilate(f)
+    assert np.max(np.abs(u.conj().T @ u - np.eye(count))) <= 1e-12
+    assert np.array_equal(u[:, :dim], f.analysis)
 
 
 def _divisors(m):

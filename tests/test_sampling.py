@@ -359,9 +359,15 @@ def test_signals_and_samples_are_checked_like_frame_vectors(monkeypatch):
     monkeypatch.setattr(sampling, "_trial_rng", no_draw)
     with pytest.raises(DimensionMismatchError, match="signal entries must be finite"):
         monte_carlo_mse(bad, filt, m, 1.0, trials=2, seed=0)
+    # the three noise functions share one sigma2 rule
     for sigma2 in (np.nan, np.inf, -np.inf, -1.0):
-        with pytest.raises(DimensionMismatchError, match="sigma2 must be finite and >= 0"):
-            monte_carlo_mse(x, filt, m, sigma2, trials=2, seed=0)
+        for call in (
+            lambda s: monte_carlo_mse(x, filt, m, s, trials=2, seed=0),
+            lambda s: analytic_mse(filt, m, s),
+            lambda s: mse_decomposition(filt, m, s),
+        ):
+            with pytest.raises(DimensionMismatchError, match="sigma2 must be finite and >= 0"):
+                call(sigma2)
 
 
 def test_negative_seed_is_rejected_before_drawing(monkeypatch):
