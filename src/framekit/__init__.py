@@ -41,45 +41,3 @@ from .frames import (
 from .hermitian import is_hermitian, jacobi_eigh
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AliasingError",
-    "ConvergenceError",
-    "DimensionMismatchError",
-    "DomainError",
-    "ExactnessProfile",
-    "Frame",
-    "FrameBounds",
-    "NotAFrameError",
-    "NotHermitianError",
-    "NotPerfectReconstructionError",
-    "NotTightUnitError",
-    "NotUnitaryError",
-    "NumericOverflowError",
-    "ParseError",
-    "ProtectedBinError",
-    "SizeLimitError",
-    "analyze",
-    "canonical_dual",
-    "check_biorthonormal",
-    "exactness_profile",
-    "frame_bounds",
-    "frame_operator",
-    "frame_threshold",
-    "gabor",
-    "harmonic_frame",
-    "is_hermitian",
-    "is_left_inverse",
-    "jacobi_eigh",
-    "left_inverse",
-    "naimark_dilate",
-    "pseudo_inverse",
-    "range_projection",
-    "reconstruct",
-    "remove_vector",
-    "sampling",
-    "serialization",
-    "tighten",
-    "unitary_transform",
-    "__version__",
-]

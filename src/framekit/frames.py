@@ -18,8 +18,16 @@ Conventions used throughout:
   _apply_inverse, which applies S^{-1} or S^{-1/2}: a dense frame from its
   inverse (root) block, a Gabor system through the Zak domain.  Those
   inverse blocks are formed from the cached spectrum on each call.
+* One scale rule serves both kinds: the blocks are those of the frame of
+  T 2^-e (of g 2^-e for a Gabor system), e the exponent of its largest real
+  or imaginary part, so S = 4^e s, and results are scaled back exactly.
+  Rescaling a frame by a power of two rescales its dual by the inverse and
+  leaves its tight frame and exactness diagonal as they are, bit for bit,
+  even where S itself leaves float64's range.  frame_operator is S at the
+  input's own scale.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,18 +117,30 @@ class Frame:
         return self._spectrum
 
     def _decompose(self):
-        """S as one block; a Gabor system overrides this, _apply_inverse and
-        _canonical."""
-        w, v = jacobi_eigh(frame_operator(self))
-        return Spectrum(w[None], v[None])
+        """s = t^H t as one block, t = T 2^-e, with scale 2e; a Gabor system
+        overrides this, _apply_blocks and _canonical."""
+        t, e = _normalized(self.analysis)
+        w, v = jacobi_eigh(t.conj().T @ t)
+        return Spectrum(w[None], v[None], 2 * e)
 
     def _apply_inverse(self, x, root=False):
-        """S^{-1} x for a matrix x of N rows (S^{-1/2} x with root=True)."""
-        return _inverse_power(self, root)[0] @ x
+        """S^{-1} x (S^{-1/2} x with root) for a matrix x of N rows.  With
+        S = 4^e s, S^{-1} x = 2^-e s^{-1} (2^-e x) and S^{-1/2} x =
+        s^{-1/2} (2^-e x)."""
+        e = self.spectrum().scale // 2
+        out = self._apply_blocks(_inverse_power(self, root), _ldexp(x, -e) if e else x)
+        return out if root else _scaled_back(out, e)
+
+    def _apply_blocks(self, power, x):
+        """x times the blocks power of s^{-1} or s^{-1/2}."""
+        return power[0] @ x
 
     def _canonical(self, root):
-        """The frame S^{-1} g_k (S^{-1/2} g_k with root): T S^{-1} (T S^{-1/2})."""
-        return Frame._adopt(self.analysis @ _inverse_power(self, root)[0])
+        """The frame S^{-1} g_k (S^{-1/2} g_k with root): T S^{-1} =
+        2^-e t s^{-1} (T S^{-1/2} = t s^{-1/2})."""
+        t, e = _normalized(self.analysis)
+        out = t @ _inverse_power(self, root)[0]
+        return Frame._adopt(out if root else _scaled_back(out, e))
 
     @classmethod
     def from_vectors(cls, vectors):
@@ -148,13 +168,15 @@ class Frame:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """The frame operator, 2^scale times Hermitian blocks u diag(w) u^H: each
-    block's eigenvalues w[..., :] are ascending and its eigenvectors are the
-    columns of u[..., :, :].  A dense frame is one block over all N
-    coordinates, w (1, N) and u (1, N, N), with scale 0.  A Gabor system has
-    its K q Zak-domain blocks, w (K, q, p) and u (K, q, p, p): Walnut block r,
-    on the coordinates r + jK, is (F kron I_p) blockdiag_b(block (r, b))
-    (F kron I_p)^H for the unitary q-point DFT F.
+    """The frame operator S, 2^scale times Hermitian blocks u diag(w) u^H:
+    each block's eigenvalues w[..., :] are ascending and its eigenvectors are
+    the columns of u[..., :, :].  The blocks are those of s, the frame
+    operator of T 2^-e (g 2^-e for a Gabor system), so scale is 2e and
+    max(w) >= 1.  A dense frame is one block over all N coordinates, w (1, N)
+    and u (1, N, N).  A Gabor system has its K q Zak-domain blocks,
+    w (K, q, p) and u (K, q, p, p): Walnut block r, on the coordinates
+    r + jK, is (F kron I_p) blockdiag_b(block (r, b)) (F kron I_p)^H for the
+    unitary q-point DFT F.
     """
 
     w: np.ndarray
@@ -214,6 +236,26 @@ def _checked_operator(s, nonzero=True, name="frame operator"):
     return s
 
 
+def _ldexp(z, e):
+    """z 2^e for a complex array z: exact while the result stays normal."""
+    return np.ldexp(np.ascontiguousarray(z).view(np.float64), e).view(np.complex128)
+
+
+def _normalized(z):
+    """(z 2^-e, e) for a complex array z, e the exponent of its largest real
+    or imaginary part, so that part of z 2^-e lies in [1, 2)."""
+    e = math.frexp(np.abs(np.ascontiguousarray(z).view(np.float64)).max())[1] - 1
+    return (_ldexp(z, -e) if e else z), e
+
+
+def _scaled_back(z, e):
+    """z 2^-e, the one step of S^{-1} that can leave float64's range."""
+    if not e:
+        return z
+    with np.errstate(over="ignore"):
+        return _checked_operator(_ldexp(z, -e), nonzero=False, name="inverse frame operator")
+
+
 def frame_operator(frame):
     """S = T^H T, returned exactly Hermitian."""
     t = frame.analysis
@@ -232,18 +274,17 @@ def frame_bounds(frame):
     spec = frame.spectrum()
     # max(-0.0, 0.0) is -0.0; adding +0.0 folds it into +0.0
     low, high = (max(float(x), 0.0) + 0.0 for x in (spec.w.min(), spec.w.max()))
-    if spec.scale:
-        with np.errstate(over="ignore"):
-            low, high = (float(x) for x in _checked_operator(np.ldexp([low, high], spec.scale), high > 0))
+    with np.errstate(over="ignore"):
+        low, high = (float(x) for x in _checked_operator(np.ldexp([low, high], spec.scale), high > 0))
     return FrameBounds(lower=low, upper=high)
 
 
 def _inverse_power(frame, root):
     """Blocks u w^{-1} u^H (u w^{-1/2} u^H with root=True) on the blocks of
-    the frame's spectrum, so S^{-1} (S^{-1/2}) up to its 2^scale.
+    the frame's spectrum, so s^{-1} (s^{-1/2}) for S = 2^scale s.
 
-    NotAFrameError unless the frame spans; NumericOverflowError when an
-    entry leaves float64's range."""
+    NotAFrameError unless the frame spans.  No entry leaves float64's range:
+    max(w) >= 1 and min(w) > FRAME_RTOL max(w) bound each near n / FRAME_RTOL."""
     spec = frame.spectrum()
     low, high = spec.w.min(), spec.w.max()
     if low <= frame_threshold(high):
@@ -251,10 +292,8 @@ def _inverse_power(frame, root):
             shown = np.ldexp([low, frame_threshold(high)], spec.scale)
         _checked_operator(shown, high > 0)  # bounds outside float64's range
         raise NotAFrameError("vectors do not span: lambda_min %.3e vs threshold %.3e" % tuple(shown))
-    with np.errstate(over="ignore", invalid="ignore"):
-        scaled = spec.u * (1.0 / (np.sqrt(spec.w) if root else spec.w))[..., None, :]
-        power = scaled @ np.swapaxes(spec.u.conj(), -1, -2)
-    return _checked_operator(power, name="inverse frame operator")
+    scaled = spec.u * (1.0 / (np.sqrt(spec.w) if root else spec.w))[..., None, :]
+    return scaled @ np.swapaxes(spec.u.conj(), -1, -2)
 
 
 def canonical_dual(frame):

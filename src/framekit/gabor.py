@@ -25,10 +25,9 @@ through the Zak domain (the DFT of each residue class, the p x p blocks, the
 inverse DFT), and S^{-1} g and S^{-1/2} g are computed at most once per frame.
 As S commutes with every system shift, the canonical dual and tight frame are
 the Gabor frames of those two windows, which verify_wh_structure checks by
-prototype.  The blocks are formed from g 2^-e, e the exponent of g's largest
-real or imaginary part, and the windows are scaled back exactly, so
-rescaling g by a power of two rescales S^{-1} g by its inverse and leaves
-S^{-1/2} g as it is, bit for bit, even where S itself leaves float64's range.
+prototype.  The blocks are formed from g 2^-e under the scale rule of
+frames, so rescaling g by a power of two rescales S^{-1} g by its inverse and
+leaves S^{-1/2} g as it is, bit for bit.
 
 A built system is shared: while a caller holds the frame of a prototype and
 params, build_gabor_frame (and so gabor_dual_prototype) returns that frame and
@@ -56,8 +55,7 @@ from .frames import (
     _as_complex_vector,
     _check_frame_shape,
     _check_integers,
-    _checked_operator,
-    _inverse_power,
+    _normalized,
 )
 from .hermitian import jacobi_eigh
 
@@ -165,11 +163,6 @@ def _plan(params):
     return (_cached_plan if small else _make_plan)(params)
 
 
-def _ldexp(z, e):
-    """z 2^e for a complex array z: exact while the result stays normal."""
-    return np.ldexp(np.ascontiguousarray(z).view(np.float64), e).view(np.complex128)
-
-
 def build_gabor_frame(proto, params):
     """Gabor frame of all K*L translates-modulates of the prototype, k outer,
     decomposed by its Zak-domain blocks.  While a frame built from the
@@ -205,10 +198,9 @@ class _GaborFrame(Frame):
         q independent p x p blocks: B_r = (F kron I_p) blockdiag_b(block (r, b))
         (F kron I_p)^H, all K q of them solved in one stacked jacobi_eigh call.
         """
-        g = self.prototype
-        e = math.frexp(np.abs(g.view(np.float64)).max())[1] - 1
+        g, e = _normalized(self.prototype)
         # column l of the translates is g[n - lT] 2^-e
-        y = self._zak((_ldexp(g, -e) if e else g)[self.plan.index].T)
+        y = self._zak(g[self.plan.index].T)
         k, q = y.shape[:2]
         w, v = jacobi_eigh(k * (y @ np.conj(np.swapaxes(y, -1, -2))) / q)
         return Spectrum(w, v, 2 * e)
@@ -222,22 +214,14 @@ class _GaborFrame(Frame):
         xr = x.reshape(m // k, k, c).swapaxes(0, 1).reshape(k, len(dft), -1)
         return (dft @ xr).reshape(k, len(dft), -1, c)
 
-    def _apply_inverse(self, x, root=False):
-        """S^{-1} x (S^{-1/2} x with root) for a matrix x of M rows: the DFT
-        of each residue class, the p x p blocks of the inverse (root), the
-        inverse DFT.  With S = 4^e S_h, S^{-1} x = 2^-e S_h^{-1} (2^-e x) and
-        S^{-1/2} x = S_h^{-1/2} (2^-e x)."""
-        power = _inverse_power(self, root)
+    def _apply_blocks(self, power, x):
+        """x of M rows times the Zak-domain blocks power: the DFT of each
+        residue class, the p x p blocks, the inverse DFT."""
         k, q = power.shape[:2]
-        e = self.spectrum().scale // 2
         m, c = x.shape
-        z = power @ self._zak(_ldexp(x, -e) if e else x)
+        z = power @ self._zak(x)
         out = (np.conj(self.plan.dft) @ z.reshape(k, q, -1) / q).reshape(k, -1, c)
-        out = out.swapaxes(0, 1).reshape(m, c)
-        if e and not root:  # the only step that can leave float64's range
-            with np.errstate(over="ignore"):
-                out = _checked_operator(_ldexp(out, -e), nonzero=False, name="inverse frame operator")
-        return out
+        return out.swapaxes(0, 1).reshape(m, c)
 
     def _window(self, root):
         """S^{-1} g (S^{-1/2} g with root), read-only, computed once per frame."""

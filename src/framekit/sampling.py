@@ -111,11 +111,7 @@ def make_bandlimited(size, band, seed):
     coeffs = rng.standard_normal(width) + 1j * rng.standard_normal(width)
     spectrum[passband_bins(model) % size] = coeffs
     x = np.fft.ifft(spectrum)
-    norm = np.linalg.norm(x)
-    if norm == 0.0:
-        x[:] = 1.0 / np.sqrt(size)  # measure-zero fallback
-        return x
-    return x / norm
+    return x / np.linalg.norm(x)
 
 
 def check_trial_budget(size, trials):

@@ -864,10 +864,16 @@ def test_frame_operator_overflow_reports_overflow(tmp_path, capsys):
     path.write_text("1e308,0\n0,1e308\n1e308,1e308\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for verb in ("frame-bounds", "frame-dual", "frame-tighten", "frame-exactness"):
+        code, out, err = run_cli(capsys, "frame-bounds", "--input", str(path))
+        assert code == 1 and err == ""
+        assert json.loads(out) == {
+            "error": "overflow",
+            "detail": "frame operator overflows: entries too large for float64",
+        }
+        # S leaves float64, but no printed value does
+        for verb in ("frame-dual", "frame-tighten", "frame-exactness"):
             code, out, err = run_cli(capsys, verb, "--input", str(path))
-            assert code == 1 and err == ""
-            assert json.loads(out)["error"] == "overflow"
+            assert code == 0 and err == "", verb
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(framekit.__file__)))
     proc = subprocess.run(
         [sys.executable, "-m", "framekit.cli", "frame-bounds", "--input", str(path)],
@@ -882,13 +888,18 @@ def test_frame_operator_underflow_reports_overflow(tmp_path, capsys):
     path.write_text("1e-160,0\n0,1e-160\n1e-160,1e-160\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for verb in ("frame-bounds", "frame-dual", "frame-tighten", "frame-exactness"):
+        code, out, err = run_cli(capsys, "frame-bounds", "--input", str(path))
+        assert code == 1 and err == ""
+        assert json.loads(out) == {
+            "error": "overflow",
+            "detail": "frame operator underflows: entries too small for float64",
+        }
+        # S underflows, but the dual (entries near 1e160) and the rest do not
+        for verb in ("frame-dual", "frame-tighten", "frame-exactness"):
             code, out, err = run_cli(capsys, verb, "--input", str(path))
-            assert code == 1 and err == ""
-            assert json.loads(out) == {
-                "error": "overflow",
-                "detail": "frame operator underflows: entries too small for float64",
-            }
+            assert code == 0 and err == "", verb
+        code, out, _ = run_cli(capsys, "frame-dual", "--input", str(path))
+        assert json.loads(out)["data"][0][0] == pytest.approx(2e160 / 3, rel=1e-14)
 
 
 def test_size_limits_reject_before_allocation(capsys, monkeypatch):

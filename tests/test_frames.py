@@ -636,7 +636,8 @@ def test_spectrum_matches_eigh_and_is_read_only():
     assert spec.w.shape == (1, 5) and spec.u.shape == (1, 5, 5)
     b, n = spec.w.shape
     assert np.array_equal(np.arange(b)[:, None] + b * np.arange(n), np.arange(5)[None])
-    w, v = spec.w[0], spec.u[0]
+    # the blocks are those of the frame of T 2^-e, so S is 2^scale times them
+    w, v = np.ldexp(spec.w[0], spec.scale), spec.u[0]
     s = frame_operator(f)
     assert np.allclose(w, np.linalg.eigvalsh(s), rtol=0, atol=1e-13 * np.linalg.norm(s))
     assert np.allclose((v * w) @ v.conj().T, s, atol=1e-12 * np.linalg.norm(s))
@@ -662,6 +663,19 @@ def test_frames_compare_by_identity_and_hold_a_read_only_matrix():
     assert f.analysis[0, 0] == 1.0
 
 
+def assert_scaled_from_order_one(frame, e, rtol=0.0):
+    """frame is 2^e times a frame of entries near 1: its dual is 2^-e times
+    that frame's, and its tight frame and exactness diagonal are that
+    frame's, bit for bit (to rtol where 2^-e times the dual is subnormal)."""
+    unit = Frame(frame.analysis * 2.0**-e)
+    want = canonical_dual(unit).analysis * 2.0**-e
+    assert np.array_equal(canonical_dual(frame).analysis, want)
+    assert np.array_equal(tighten(frame).analysis, tighten(unit).analysis)
+    got, want = exactness_profile(frame), exactness_profile(unit)
+    assert np.allclose(got.diagonal, want.diagonal, rtol=rtol, atol=0)
+    assert got.classification == want.classification
+
+
 def test_frame_operator_overflow_is_typed_and_silent():
     huge = Frame.from_vectors([[1e308, 0.0], [0.0, 1e308], [1e308, 1e308]])
     with warnings.catch_warnings():
@@ -669,9 +683,12 @@ def test_frame_operator_overflow_is_typed_and_silent():
         with pytest.raises(NumericOverflowError) as info:
             frame_operator(huge)
         assert info.value.code == "overflow"
-        for op in (frame_bounds, canonical_dual, tighten, exactness_profile, naimark_dilate):
-            with pytest.raises(NumericOverflowError):
+        for op in (frame_bounds, naimark_dilate):
+            with pytest.raises(NumericOverflowError, match="frame operator overflows"):
                 op(huge)
+        # S leaves float64, but the blocks of the frame of T 2^-1023 do not;
+        # the dual, near 7e-309, is subnormal, so its diagonal keeps fewer bits
+        assert_scaled_from_order_one(huge, 1023, rtol=1e-12)
 
 
 def test_reconstruct_and_unitary_transform_overflow_is_typed_and_silent():
@@ -721,19 +738,24 @@ def test_frame_operator_underflow_is_typed_and_silent():
     tiny = Frame.from_vectors([[1e-160, 0.0], [0.0, 1e-160], [1e-160, 1e-160]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for op in (frame_operator, frame_bounds, canonical_dual, tighten, exactness_profile, naimark_dilate):
+        for op in (frame_operator, frame_bounds, naimark_dilate):
             with pytest.raises(NumericOverflowError, match="underflows"):
                 op(tiny)
+        # S underflows, but the blocks of the frame of T 2^532 do not
+        assert_scaled_from_order_one(tiny, -532)
+        assert canonical_dual(tiny).analysis[0, 0] == pytest.approx(2e160 / 3, rel=1e-14)
     # all-zero vectors are legal data that do not span, not an underflow
     with pytest.raises(NotAFrameError):
         canonical_dual(Frame(np.zeros((3, 2))))
 
 
 def test_inverse_operator_overflow_is_typed():
-    # S spans (lambda 1e-300 and 1e-309), but 1 / 1e-309 is not a float64
-    frame = Frame(np.diag([1e-150, np.sqrt(1e-309)]))
-    assert frame_bounds(frame).spans()
+    # subnormal vectors span (their tight frame is I), but the dual's entries,
+    # 1e310 and 5e309, are not float64
+    frame = Frame(np.diag([1e-310, 2e-310]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NumericOverflowError, match="inverse frame operator overflows"):
-            canonical_dual(frame)
+        assert np.allclose(tighten(frame).analysis, np.eye(2), rtol=0, atol=1e-13)
+        for op in (canonical_dual, pseudo_inverse):
+            with pytest.raises(NumericOverflowError, match="inverse frame operator overflows"):
+                op(frame)

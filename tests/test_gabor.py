@@ -707,15 +707,16 @@ def record_inverse_blocks(monkeypatch):
     """Shape of every stack of Zak-domain inverse (root) blocks formed."""
     import framekit.frames
 
-    checked = framekit.frames._checked_operator
+    inverse_power = framekit.frames._inverse_power
     formed = []
 
-    def recording(s, *args, **kwargs):
-        if kwargs.get("name") == "inverse frame operator" and np.ndim(s) == 4:
-            formed.append(np.shape(s))
-        return checked(s, *args, **kwargs)
+    def recording(frame, root):
+        power = inverse_power(frame, root)
+        if power.ndim == 4:
+            formed.append(power.shape)
+        return power
 
-    monkeypatch.setattr(framekit.frames, "_checked_operator", recording)
+    monkeypatch.setattr(framekit.frames, "_inverse_power", recording)
     return formed
 
 

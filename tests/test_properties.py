@@ -22,10 +22,12 @@ from framekit import (
     NotAFrameError,
     canonical_dual,
     cli,
+    exactness_profile,
     frame_bounds,
     frame_operator,
     left_inverse,
     naimark_dilate,
+    pseudo_inverse,
     tighten,
     unitary_transform,
 )
@@ -84,6 +86,19 @@ def test_canonical_dual_scales_by_one_over_s(seed, dim, k):
     scaled = canonical_dual(Frame(f.analysis * 2.0**k)).analysis
     tol = 16 * dim * EPS * (b.upper / b.lower) * np.max(np.abs(dual))
     assert np.max(np.abs(scaled * 2.0**k - dual)) <= tol
+
+
+@PROPERTY
+@given(seeds, dims, st.sampled_from([-700, -600, -400, 400, 600]))
+def test_power_of_two_rescaling_is_exact(seed, dim, k):
+    # S of the rescaled frame leaves float64 at k = -700, -600 and 600, but
+    # both frames decompose the same S 2^-2e, so every result is exact
+    f = spanning_frame(seed, dim)
+    scaled = Frame(f.analysis * 2.0**k)
+    assert np.array_equal(canonical_dual(scaled).analysis, canonical_dual(f).analysis * 2.0**-k)
+    assert np.array_equal(pseudo_inverse(scaled), pseudo_inverse(f) * 2.0**-k)
+    assert np.array_equal(tighten(scaled).analysis, tighten(f).analysis)
+    assert np.array_equal(exactness_profile(scaled).diagonal, exactness_profile(f).diagonal)
 
 
 @PROPERTY
