@@ -28,16 +28,14 @@ from .frames import (
     frame_operator,
     frame_threshold,
     harmonic_frame,
-    is_left_inverse,
     left_inverse,
     naimark_dilate,
     pseudo_inverse,
-    range_projection,
     reconstruct,
     remove_vector,
     tighten,
     unitary_transform,
 )
-from .hermitian import is_hermitian, jacobi_eigh
+from .hermitian import jacobi_eigh
 
 __version__ = "0.1.0"

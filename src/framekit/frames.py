@@ -325,18 +325,6 @@ def left_inverse(frame, free_param=None):
         return _checked_operator(pinv + m - (m @ frame.analysis) @ pinv, nonzero=False, name="left inverse")
 
 
-def is_left_inverse(frame, matrix):
-    """Check L T = I_N within FRAME_RTOL (max entry deviation)."""
-    l = _as_complex_matrix(matrix, "matrix", (frame.dim, frame.num_vectors))
-    return bool(np.max(np.abs(l @ frame.analysis - np.eye(frame.dim))) <= FRAME_RTOL)
-
-
-def range_projection(frame):
-    """Orthogonal projection T S^{-1} T^H of C^K onto the range of T."""
-    p = canonical_dual(frame).analysis @ frame.analysis.conj().T
-    return (p + p.conj().T) / 2.0
-
-
 def reconstruct(frame, dual, coeffs):
     """sum_k c_k dual_k, the expansion of the analyzed signal in the dual."""
     _check_frame_shape(dual, (frame.num_vectors, frame.dim), "dual")

@@ -116,14 +116,9 @@ def _modulations(k, length, mods):
     return np.exp(2j * np.pi * np.arange(mods) / mods)[k * np.arange(length) % mods]
 
 
-def weyl_shift(x, k, l, params):
-    """Translate by l*T and modulate by the k-th K-th root of unity."""
-    arr = _as_complex_vector(x, params.length, "prototype")
-    return np.roll(arr, l * params.shift) * _modulations(k, params.length, params.mods)
-
-
 def weyl_matrix(k, l, params):
-    """The unitary matrix of weyl_shift(., k, l)."""
+    """The unitary M x M matrix that translates by l*T and modulates by the
+    k-th K-th root of unity: x[n - lT] exp(2 pi i k n / K) at n."""
     shifted = np.roll(np.eye(params.length, dtype=np.complex128), l * params.shift, axis=0)
     return shifted * _modulations(k, params.length, params.mods)[:, None]
 
@@ -238,7 +233,7 @@ class _GaborFrame(Frame):
 
 def _build(g, params):
     """The system of g, a prototype no caller holds, from the _Plan of params:
-    every weyl_shift(g, k, l) as a conjugated row, k outer, l inner."""
+    every g[n - lT] exp(2 pi i k n / K) as a conjugated row, k outer, l inner."""
     plan = _plan(params)
     analysis = (np.conj(g)[plan.index] * plan.phases[:, None, :]).reshape(-1, params.length)
     frame = _GaborFrame._adopt(analysis)

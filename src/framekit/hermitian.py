@@ -13,8 +13,6 @@ solved at a power-of-two scale with its largest entry in [0.5, 1), which is
 exact, so results do not depend on the input's magnitude.
 """
 
-import functools
-
 import numpy as np
 
 from .errors import (
@@ -33,25 +31,10 @@ def _conj_t(a):
     return np.conj(np.swapaxes(a, -1, -2))
 
 
-def is_hermitian(mat):
-    """True when mat is square and conjugate-symmetric within HERMITIAN_RTOL.
-
-    The tolerance is relative to the largest entry magnitude, so an all-zero
-    matrix is Hermitian and scale does not matter.  A (..., n, n) stack is
-    Hermitian when every member is, each against its own largest entry.
-    """
-    mat = np.asarray(mat)
-    if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
-        return False
-    if mat.size == 0:
-        return True
-    a = mat.astype(np.complex128)
-    _prescale(a)
-    return _prescaled_is_hermitian(a)
-
-
 def _prescaled_is_hermitian(a):
-    """is_hermitian of a complex (..., n, n) stack that _prescale has scaled."""
+    """Whether every member of a complex (..., n, n) stack that _prescale has
+    scaled is conjugate-symmetric within HERMITIAN_RTOL times its own largest
+    entry, so an all-zero member is Hermitian and scale does not matter."""
     deviation = np.max(np.abs(a - _conj_t(a)), axis=(-2, -1))
     scale = np.max(np.abs(a), axis=(-2, -1))
     return bool(np.all(deviation <= HERMITIAN_RTOL * scale))
@@ -75,10 +58,8 @@ def off_diagonal_mass(mat):
     return np.linalg.norm(mat[..., ~np.eye(n, dtype=bool)], axis=-1)
 
 
-@functools.lru_cache(maxsize=16)
 def _round_robin(n):
-    """Index pairs of one round-robin sweep: rows p[i], q[i] (p < q) of step i,
-    read-only and built once per n (for the 16 most recent n).
+    """Index pairs of one round-robin sweep: rows p[i], q[i] (p < q) of step i.
 
     The circle method: index 0 stays put while the others move one place per
     step, so in n - 1 steps (n even) every pair meets once.  Odd n adds a
@@ -92,7 +73,6 @@ def _round_robin(n):
     p, q = ends.min(axis=0), ends.max(axis=0)
     real = q < n
     p, q = p[real].reshape(m - 1, -1), q[real].reshape(m - 1, -1)
-    p.flags.writeable = q.flags.writeable = False
     return p, q
 
 
@@ -123,7 +103,8 @@ def jacobi_eigh(mat):
     shape = a.shape
     n = shape[-1]
     if n == 1:  # nothing to rotate; + 0.0 folds -0.0 as the symmetrization does
-        z = a[..., 0]  # is_hermitian's |z - conj z| <= RTOL |z|, on |Re z|: no overflow
+        # _prescaled_is_hermitian's |z - conj z| <= RTOL |z|, on |Re z|: no overflow
+        z = a[..., 0]
         if np.any(np.abs(z.imag) > HERMITIAN_RTOL / 2 * np.abs(z.real)):
             raise NotHermitianError("matrix is not conjugate-symmetric")
         return z.real + 0.0, np.ones(shape, dtype=np.complex128)

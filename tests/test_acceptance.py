@@ -19,12 +19,10 @@ from framekit import (
     frame_bounds,
     frame_operator,
     harmonic_frame,
-    is_left_inverse,
     jacobi_eigh,
     left_inverse,
     naimark_dilate,
     pseudo_inverse,
-    range_projection,
     reconstruct,
     remove_vector,
     tighten,
@@ -50,6 +48,7 @@ from framekit.sampling import (
     sample,
     sampling_frame,
 )
+from api_oracle import is_left_inverse, range_projection
 from conftest import random_frame, random_unitary, random_vector, spectral_mse
 
 RT3 = np.sqrt(3.0)

@@ -26,12 +26,10 @@ from framekit import (
     frame_operator,
     frame_threshold,
     harmonic_frame,
-    is_left_inverse,
     jacobi_eigh,
     left_inverse,
     naimark_dilate,
     pseudo_inverse,
-    range_projection,
     reconstruct,
     remove_vector,
     tighten,
@@ -39,6 +37,7 @@ from framekit import (
 )
 from framekit.frames import FRAME_RTOL
 
+from api_oracle import is_left_inverse, range_projection
 from conftest import random_frame, random_unitary, random_vector
 
 RT3 = np.sqrt(3.0)

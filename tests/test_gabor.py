@@ -26,7 +26,6 @@ from framekit import (
     jacobi_eigh,
     left_inverse,
     pseudo_inverse,
-    range_projection,
     tighten,
 )
 from framekit.frames import FRAME_RTOL
@@ -40,8 +39,9 @@ from framekit.gabor import (
     named_prototype,
     verify_wh_structure,
     weyl_matrix,
-    weyl_shift,
 )
+
+from api_oracle import range_projection, weyl_shift
 
 
 def random_proto(rng, length):
