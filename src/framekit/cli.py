@@ -347,7 +347,8 @@ def run(argv=None):
         text, code = args.handler(args), 0
         if args.output:
             with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
+                handle.write(text)
+                handle.write("\n")
             return 0
     except SystemExit as exc:  # argparse has printed its usage error, or --help
         return int(exc.code or 0)

@@ -31,12 +31,10 @@ leaves S^{-1/2} g as it is, bit for bit.
 
 A built system is shared: while a caller holds the frame of a prototype and
 params, build_gabor_frame (and so gabor_dual_prototype) returns that frame and
-reads its spectrum and windows instead of building and solving again.  The
-tables of a lattice (its plan) are shared too: every frame takes its plan
-from its params alone, and the plans of the 16 most recently used lattices
-whose systems hold at most 2^17 entries are kept, each under 3.2 MB (at
-M = 362, T = K = 1), so under 51 MB in all; other lattices get a plan per
-system, a dual or tight frame its own.
+reads its spectrum and windows instead of building and solving again.  Its
+dual and tight frames share its tables (its plan) at every size; the plans of
+the 16 most recently used lattices with at most 2^17 system entries are kept,
+each under 3.2 MB (at M = 362, T = K = 1), so under 51 MB in all.
 """
 
 import functools
@@ -168,7 +166,7 @@ def build_gabor_frame(proto, params):
     key = (g.tobytes(), params)
     frame = _live_systems.get(key)
     if frame is None:
-        frame = _live_systems[key] = _build(g, params)
+        frame = _live_systems[key] = _build(g, params, _plan(params))
     return frame
 
 
@@ -192,12 +190,14 @@ class _GaborFrame(Frame):
         of p x p.  The unitary length-q DFT F along those blocks turns it into
         q independent p x p blocks: B_r = (F kron I_p) blockdiag_b(block (r, b))
         (F kron I_p)^H, all K q of them solved in one stacked jacobi_eigh call.
+        Block (r, b) is K Phi Phi^H over the first u = L / q translates alone:
+        translate l0 + u t is l0 moved by t lcm(T, K), a unit phase after the
+        DFT, so its q copies add one block, and the unscaled DFT counts them.
         """
         g, e = _normalized(self.prototype)
-        # column l of the translates is g[n - lT] 2^-e
-        y = self._zak(g[self.plan.index].T)
-        k, q = y.shape[:2]
-        w, v = jacobi_eigh(k * (y @ np.conj(np.swapaxes(y, -1, -2))) / q)
+        u = self.params.steps // len(self.plan.dft)
+        y = self._zak(g[self.plan.index[:u]].T)  # column l0 is g[n - l0 T] 2^-e
+        w, v = jacobi_eigh(self.params.mods * (y @ np.conj(np.swapaxes(y, -1, -2))))
         return Spectrum(w, v, 2 * e)
 
     def _zak(self, x):
@@ -228,13 +228,12 @@ class _GaborFrame(Frame):
         return window
 
     def _canonical(self, root):
-        return _build(self._window(root), self.params)
+        return _build(self._window(root), self.params, self.plan)
 
 
-def _build(g, params):
-    """The system of g, a prototype no caller holds, from the _Plan of params:
-    every g[n - lT] exp(2 pi i k n / K) as a conjugated row, k outer, l inner."""
-    plan = _plan(params)
+def _build(g, params, plan):
+    """The system of g, a prototype no caller holds, from plan, the _Plan of
+    params: every g[n - lT] exp(2 pi i k n / K) as a conjugated row, k outer, l inner."""
     analysis = (np.conj(g)[plan.index] * plan.phases[:, None, :]).reshape(-1, params.length)
     frame = _GaborFrame._adopt(analysis)
     g.flags.writeable = False

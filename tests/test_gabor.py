@@ -463,9 +463,26 @@ def block_operator(spec):
     return s
 
 
+# q >> 1, kept apart so that the other WALNUT_CONFIGS tests stay fast
+LARGE_Q_CONFIGS = [
+    GaborParams(length=64, shift=1, mods=1),  # q = 64
+    GaborParams(length=64, shift=2, mods=4),  # p = 1, q = 16
+    GaborParams(length=48, shift=3, mods=4),  # p = 3, q = 4, u = 4
+    GaborParams(length=96, shift=2, mods=3),  # p = 2, q = 16
+]
+
+
 def test_walnut_spectrum_matches_dense_path():
+    check_walnut_spectrum(WALNUT_CONFIGS)
+
+
+def test_large_q_walnut_spectrum_matches_dense_path():
+    check_walnut_spectrum(LARGE_Q_CONFIGS)
+
+
+def check_walnut_spectrum(configs):
     rng = np.random.default_rng(109)
-    for p in WALNUT_CONFIGS:
+    for p in configs:
         g = random_proto(rng, p.length)
         walnut = build_gabor_frame(g, p)
         dense = Frame(walnut.analysis)  # same vectors, generic M x M solve
@@ -494,6 +511,41 @@ def test_walnut_spectrum_matches_dense_path():
         want = canonical_dual(dense).vectors[0]
         assert np.max(np.abs(gd - want)) <= 1e-12 * cond * np.max(np.abs(want))
         assert np.allclose(gd, np.linalg.solve(s, g), rtol=0, atol=1e-12 * cond * np.max(np.abs(want)))
+
+
+def test_walnut_blocks_read_the_first_u_translates_alone(monkeypatch):
+    # translate l0 + u t, u = lcm(T, K) / T, is translate l0 moved by t lattice
+    # periods: its Zak coordinates differ by a unit phase, so the blocks need
+    # only the first u translate columns, not all L
+    from framekit.gabor import _GaborFrame
+
+    zak, shapes = _GaborFrame._zak, []
+
+    def recording(self, x):
+        shapes.append(x.shape)
+        return zak(self, x)
+
+    monkeypatch.setattr(_GaborFrame, "_zak", recording)
+    rng = np.random.default_rng(199)
+    for p in WALNUT_CONFIGS + LARGE_Q_CONFIGS:
+        shapes.clear()
+        frame_bounds(build_gabor_frame(random_proto(rng, p.length), p))
+        assert shapes == [(p.length, math.lcm(p.shift, p.mods) // p.shift)], p
+
+
+def test_single_translate_bounds_are_exact_sums():
+    # at (M, 1, 1) S is circulant with eigenvalues |DFT g|^2, so a positive
+    # window has its upper bound at frequency 0: (sum g)^2.  The block is one
+    # M-term sum, squared: the gaussian's few large terms keep it within 1e-15;
+    # a flat window is held to the rounding bound of any order of summation,
+    # 2 (M - 1) 2^-53 for the sum squared, plus 2^-53 for the square
+    rng = np.random.default_rng(211)
+    for m in (16, 64, 256, 1024, 2048):
+        p = GaborParams(length=m, shift=1, mods=1)
+        for g, tol in ((named_prototype("gaussian", m), 1e-15), (rng.uniform(0.25, 1.0, m), 2 * m * 2.0**-53)):
+            exact = math.fsum(np.real(g)) ** 2
+            upper = frame_bounds(build_gabor_frame(g, p)).upper
+            assert abs(upper - exact) <= tol * exact, (m, upper, exact)
 
 
 def test_walnut_block_record_is_read_only():
@@ -858,6 +910,9 @@ def test_gabor_frames_are_freed_by_reference_counting():
         assert len(framekit.gabor._live_systems) == 0
     finally:
         gc.enable()
+    # also over 2^17 entries (363^2), where the plan cache keeps no plan
+    system = build_gabor_frame(named_prototype("delta", 363), GaborParams(363, 1, 1))
+    assert canonical_dual(system).plan is tighten(system).plan is system.plan
     # the plan cache holds plans, no frame, of at most 16 small lattices
     cache = framekit.gabor._cached_plan
     cache.cache_clear()
