@@ -53,7 +53,7 @@ taper.update({-nu: v for nu, v in taper.items()})
 filt = make_recon_filter(model, taper)
 print("\ntapered filter still PR:", is_perfect(filt, model))
 inband, outband = mse_decomposition(filt, model, SIGMA2)
-total = analytic_mse(filt, model, SIGMA2)[0]
+total = analytic_mse(filt, model, SIGMA2)
 print("inband %.6f + outband %.6f = %.6f" % (inband, outband, total))
 
 # The frame view: sampling functionals over the passband coefficients form a

@@ -117,6 +117,7 @@ def _modulations(k, length, mods):
 def weyl_matrix(k, l, params):
     """The unitary M x M matrix that translates by l*T and modulates by the
     k-th K-th root of unity: x[n - lT] exp(2 pi i k n / K) at n."""
+    _check_integers(k=k, l=l)
     shifted = np.roll(np.eye(params.length, dtype=np.complex128), l * params.shift, axis=0)
     return shifted * _modulations(k, params.length, params.mods)[:, None]
 

@@ -96,8 +96,8 @@ def jacobi_eigh(mat):
         mat @ v[..., :, i] == w[..., i] * v[..., :, i].
     """
     a = np.array(mat, dtype=np.complex128)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise DimensionMismatchError("expected a square matrix, got shape %r" % (a.shape,))
+    if a.ndim < 2 or not 0 < a.shape[-1] == a.shape[-2]:
+        raise DimensionMismatchError("expected a nonempty square matrix, got shape %r" % (a.shape,))
     if not np.isfinite(a).all():
         raise DimensionMismatchError("matrix entries must be finite")
     shape = a.shape

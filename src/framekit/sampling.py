@@ -14,8 +14,11 @@ Subsampling folds the spectrum: fft(zero-stuffed y) at bin nu is
 signal is possible iff 2W+1 <= L, and holds exactly for any filter with
 H = Ts on the passband and H = 0 on the passband's alias images
 (nu congruent to a passband bin mod L); all remaining bins are free.
+A filter is held as its DFT H alone; analytic_mse returns the noise MSE
+sigma2/(N Ts) * sum |H|^2, and its per-position profile is a test oracle.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,29 +85,34 @@ def passband_bins(model):
     return np.arange(-model.band, model.band + 1)
 
 
+def _folded_bins(model):
+    """Centered bins and each one's distance to the nearest multiple of L."""
+    nu, l = centered_bins(model.size), model.num_samples
+    return nu, np.minimum(nu % l, (-nu) % l)
+
+
 def alias_bins(model):
     """Centered bins congruent to a passband bin mod L, passband excluded."""
-    nu = centered_bins(model.size)
-    l = model.num_samples
-    folded = np.minimum(nu % l, (-nu) % l)  # distance to nearest multiple of L
-    protected = folded <= model.band
-    inband = np.abs(nu) <= model.band
-    return np.sort(nu[protected & ~inband])
+    nu, folded = _folded_bins(model)
+    return np.sort(nu[(folded <= model.band) & (np.abs(nu) > model.band)])
 
 
 def dontcare_bins(model):
     """Bins the perfect-reconstruction constraint leaves free."""
-    nu = centered_bins(model.size)
-    l = model.num_samples
-    folded = np.minimum(nu % l, (-nu) % l)
+    nu, folded = _folded_bins(model)
     return np.sort(nu[folded > model.band])
+
+
+def _check_seed(seed):
+    _check_integers(seed=seed)
+    if seed < 0:
+        raise DimensionMismatchError("seed must be >= 0, got %d" % seed)
 
 
 def make_bandlimited(size, band, seed):
     """Unit-energy signal with i.i.d. complex-Gaussian passband coefficients."""
     model = SamplingModel(size=size, band=band, period=1)  # validates size/band
-    if seed < 0:
-        raise DimensionMismatchError("seed must be >= 0, got %d" % seed)
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     spectrum = np.zeros(size, dtype=np.complex128)
     width = model.passband_width
@@ -131,20 +139,13 @@ def sample(x, model):
 
 @dataclass(frozen=True)
 class ReconFilter:
-    """Impulse response h and its DFT (impulse stays the source of truth)."""
+    """A reconstruction filter held as its DFT H; its impulse response is ifft(H)."""
 
-    impulse: np.ndarray
     spectrum: np.ndarray
 
     @classmethod
-    def from_spectrum(cls, spectrum):
-        spectrum = np.asarray(spectrum, dtype=np.complex128)
-        return cls(impulse=np.fft.ifft(spectrum), spectrum=spectrum)
-
-    @classmethod
     def from_impulse(cls, impulse):
-        impulse = np.asarray(impulse, dtype=np.complex128)
-        return cls(impulse=impulse, spectrum=np.fft.fft(impulse))
+        return cls(np.fft.fft(np.asarray(impulse, dtype=np.complex128)))
 
 
 def _check_no_aliasing(model):
@@ -155,14 +156,11 @@ def _check_no_aliasing(model):
         )
 
 
-def _filter_arrays(filt, model):
-    arrays = np.asarray(filt.impulse), np.asarray(filt.spectrum)
-    for arr in arrays:
-        if arr.shape != (model.size,):
-            raise DimensionMismatchError(
-                "filter length %r, expected %d" % (arr.shape, model.size)
-            )
-    return arrays
+def _filter_spectrum(filt, model):
+    spectrum = np.asarray(filt.spectrum)
+    if spectrum.shape != (model.size,):
+        raise DimensionMismatchError("filter length %r, expected %d" % (spectrum.shape, model.size))
+    return spectrum
 
 
 def ideal_lowpass(model):
@@ -170,7 +168,7 @@ def ideal_lowpass(model):
     _check_no_aliasing(model)
     spectrum = np.zeros(model.size, dtype=np.complex128)
     spectrum[passband_bins(model) % model.size] = model.period
-    return ReconFilter.from_spectrum(spectrum)
+    return ReconFilter(spectrum)
 
 
 def make_recon_filter(model, dontcare_values=None):
@@ -179,14 +177,11 @@ def make_recon_filter(model, dontcare_values=None):
     dontcare_values maps centered bins to complex gains; assigning a passband
     or alias-image bin raises, since PR pins those.
     """
-    filt = ideal_lowpass(model)
-    if not dontcare_values:
-        return filt
-    spectrum = filt.spectrum.copy()
+    spectrum = ideal_lowpass(model).spectrum.copy()
     half = model.size // 2
     free = set(int(b) for b in dontcare_bins(model))
-    for bin_, value in dontcare_values.items():
-        nu = int(bin_)
+    for nu, value in (dontcare_values or {}).items():
+        _check_integers(bin=nu)
         if not -half <= nu <= half - 1:
             raise DimensionMismatchError(
                 "bin %d outside centered range [%d, %d]" % (nu, -half, half - 1)
@@ -196,13 +191,13 @@ def make_recon_filter(model, dontcare_values=None):
                 "bin %d is pinned by perfect reconstruction" % nu
             )
         spectrum[nu % model.size] = value
-    return ReconFilter.from_spectrum(spectrum)
+    return ReconFilter(spectrum)
 
 
 def is_perfect(filt, model):
     """Check the PR constraints (passband gain Ts, alias images zero) within
     PR_TOL * Ts."""
-    spectrum = _filter_arrays(filt, model)[1]
+    spectrum = _filter_spectrum(filt, model)
     scale = PR_TOL * max(model.period, 1)
     pass_ok = np.max(np.abs(spectrum[passband_bins(model) % model.size] - model.period)) <= scale
     alias = alias_bins(model)
@@ -213,31 +208,33 @@ def is_perfect(filt, model):
 def reconstruct(samples, filt, model):
     """x'[n] = sum_m y[m] h[(n - m Ts) mod N] via the convolution theorem."""
     y = _as_complex_vector(samples, model.num_samples, "samples")
-    spectrum = _filter_arrays(filt, model)[1]
+    spectrum = _filter_spectrum(filt, model)
     stuffed = np.zeros(model.size, dtype=np.complex128)
     stuffed[:: model.period] = y
     return np.fft.ifft(np.fft.fft(stuffed) * spectrum)
 
 
 def _check_sigma2(sigma2):
+    if isinstance(sigma2, bool) or not isinstance(sigma2, numbers.Real):
+        raise DimensionMismatchError("sigma2 must be a real number")
     if not 0 <= sigma2 < np.inf:
         raise DimensionMismatchError("sigma2 must be finite and >= 0")
 
 
-def analytic_mse(filt, model, sigma2):
-    """Noise MSE from the impulse response: average and per-position profile.
+def _noise_power(values, model, sigma2):
+    """sigma2/(N Ts) * sum |values|^2: the noise MSE the bins holding values carry."""
+    return float(sigma2 / (model.size * model.period) * np.sum(np.abs(values) ** 2))
 
-    profile[n] = sigma2 * sum_m |h[(n - m Ts) mod N]|^2, which depends on n
-    only through n mod Ts (the Ts polyphase energies of h).  The average
-    always equals the spectral form sigma2/(N Ts) * sum |H|^2; the profile
-    itself is flat for PR filters supported in one alias period.
+
+def analytic_mse(filt, model, sigma2):
+    """Noise MSE averaged over positions: sigma2/(N Ts) * sum |H|^2.
+
+    Position n sees sigma2 * sum_m |h[(n - m Ts) mod N]|^2, a profile that
+    depends on n only through n mod Ts and is flat for PR filters supported
+    in one alias period; by Parseval its average is this sum over H.
     """
     _check_sigma2(sigma2)
-    h = _filter_arrays(filt, model)[0]
-    energy = np.abs(h) ** 2
-    poly = energy.reshape(model.num_samples, model.period).sum(axis=0)
-    profile = sigma2 * poly[np.arange(model.size) % model.period]
-    return float(np.mean(profile)), profile
+    return _noise_power(_filter_spectrum(filt, model), model, sigma2)
 
 
 def mse_decomposition(filt, model, sigma2):
@@ -245,18 +242,15 @@ def mse_decomposition(filt, model, sigma2):
 
     inband covers the passband (equals sigma2 * (2W+1)/L for PR filters);
     outband is everything else, carried entirely by don't-care bins since the
-    alias images are pinned at zero.  The two add up to the total.
+    alias images are pinned at zero.  The two add up to analytic_mse, exactly
+    for the ideal lowpass.
     """
     _check_sigma2(sigma2)
     if not is_perfect(filt, model):
         raise NotPerfectReconstructionError("filter does not satisfy the PR constraints")
     spectrum = np.asarray(filt.spectrum)
-    weight = sigma2 / (model.size * model.period)
-    mask = np.zeros(model.size, dtype=bool)
-    mask[passband_bins(model) % model.size] = True
-    inband = weight * np.sum(np.abs(spectrum[mask]) ** 2)
-    outband = weight * np.sum(np.abs(spectrum[~mask]) ** 2)
-    return float(inband), float(outband)
+    inband = np.abs(centered_bins(model.size)) <= model.band
+    return tuple(_noise_power(spectrum[bins], model, sigma2) for bins in (inband, ~inband))
 
 
 @dataclass(frozen=True)
@@ -284,10 +278,12 @@ def monte_carlo_mse(x, filt, model, sigma2, trials, seed):
     NumericOverflowError when a result exceeds float64.
     """
     x = _as_complex_vector(x, model.size, "signal")
+    _check_integers(trials=trials)
     if trials < 1:
         raise DimensionMismatchError("trials must be >= 1")
     check_trial_budget(model.size, trials)
     _check_sigma2(sigma2)
+    _check_seed(seed)
     y = sample(x, model)
     l = model.num_samples
     per_trial = np.empty(trials)
@@ -305,7 +301,7 @@ def monte_carlo_mse(x, filt, model, sigma2, trials, seed):
             e = np.frexp(per_trial.max())[1]
             spread = np.ldexp(np.std(np.ldexp(per_trial, -e), ddof=1), e)
             stderr = float(spread / np.sqrt(trials))
-        analytic = analytic_mse(filt, model, sigma2)[0]
+        analytic = analytic_mse(filt, model, sigma2)
     if not np.isfinite([estimate, stderr, analytic]).all():
         raise NumericOverflowError("Monte Carlo MSE overflows: sigma2 too large for float64")
     return NoiseExperiment(trials=int(trials), estimate=estimate, stderr=stderr, analytic=analytic)

@@ -1,10 +1,10 @@
 """Reference checks the tests compare framekit against.
 
 The paper's identities written out directly: conjugate symmetry, a left
-inverse (L T = I), the range projection T S^-1 T^H and the time-frequency
-shift.  framekit itself never calls them, so they live beside the tests,
-built from the package's own argument checks so that bad input fails with
-the same typed errors.
+inverse (L T = I), the range projection T S^-1 T^H, the time-frequency
+shift and the reconstruction noise at each sample position.  framekit itself
+never calls them, so they live beside the tests, built from the package's
+own argument checks so that bad input fails with the same typed errors.
 """
 
 import numpy as np
@@ -13,6 +13,7 @@ from framekit import canonical_dual
 from framekit.frames import FRAME_RTOL, _as_complex_matrix, _as_complex_vector
 from framekit.gabor import _modulations
 from framekit.hermitian import _prescale, _prescaled_is_hermitian
+from framekit.sampling import _check_sigma2, _filter_spectrum
 
 
 def is_hermitian(mat):
@@ -48,3 +49,16 @@ def weyl_shift(x, k, l, params):
     """Translate by l*T and modulate by the k-th K-th root of unity."""
     arr = _as_complex_vector(x, params.length, "prototype")
     return np.roll(arr, l * params.shift) * _modulations(k, params.length, params.mods)
+
+
+def noise_profile(filt, model, sigma2):
+    """Reconstruction noise MSE at each position n, in the time domain.
+
+    With h = ifft(H), profile[n] = sigma2 * sum_m |h[(n - m Ts) mod N]|^2,
+    which depends on n only through n mod Ts (the Ts polyphase energies of
+    h).  Its mean is analytic_mse's sigma2/(N Ts) * sum |H|^2 (Parseval).
+    """
+    _check_sigma2(sigma2)
+    energy = np.abs(np.fft.ifft(_filter_spectrum(filt, model))) ** 2
+    poly = energy.reshape(model.num_samples, model.period).sum(axis=0)
+    return sigma2 * poly[np.arange(model.size) % model.period]

@@ -36,12 +36,6 @@ def random_unitary(rng, dim):
     return q * (d / np.abs(d))
 
 
-def spectral_mse(filt, model, sigma2):
-    """sigma2/(N Ts) * sum_nu |H[nu]|^2: the frequency-domain oracle for the
-    average that analytic_mse computes from the impulse response."""
-    return float(sigma2 * np.sum(np.abs(filt.spectrum) ** 2) / (model.size * model.period))
-
-
 def pytest_runtest_logreport(report):
     # one visible pass/fail line per acceptance criterion
     if report.when != "call" or "test_acceptance" not in report.nodeid:

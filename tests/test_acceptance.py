@@ -48,8 +48,8 @@ from framekit.sampling import (
     sample,
     sampling_frame,
 )
-from api_oracle import is_left_inverse, range_projection
-from conftest import random_frame, random_unitary, random_vector, spectral_mse
+from api_oracle import is_left_inverse, noise_profile, range_projection
+from conftest import random_frame, random_unitary, random_vector
 
 RT3 = np.sqrt(3.0)
 MB = Frame.from_vectors([[0.0, 1.0], [-RT3 / 2, -0.5], [RT3 / 2, -0.5]])
@@ -293,10 +293,10 @@ def test_sampling_noise_mse_suite():
     for period in (4, 2, 1):
         model = SamplingModel(size=64, band=4, period=period)
         filt = ideal_lowpass(model)
-        mean, _profile = analytic_mse(filt, model, sigma2)
+        mean = analytic_mse(filt, model, sigma2)
         expect = 9.0 * period / 64.0  # sigma2 (2W+1) / L
         assert abs(mean - expect) <= 1e-10
-        assert abs(mean - spectral_mse(filt, model, sigma2)) <= 1e-10
+        assert abs(mean - np.mean(noise_profile(filt, model, sigma2))) <= 1e-10
         x = make_bandlimited(64, 4, seed=period)
         exp = monte_carlo_mse(x, filt, model, sigma2, trials=10_000, seed=42)
         assert abs(exp.estimate - mean) <= 0.03 * mean
@@ -335,7 +335,7 @@ def test_sampling_noise_mse_suite():
             assert float(np.max(np.abs(err))) <= 1e-9
         inband, outband = mse_decomposition(filt, model, sigma2)
         assert abs(inband - 9.0 / 16.0) <= 1e-10
-        total = analytic_mse(filt, model, sigma2)[0]
+        total = analytic_mse(filt, model, sigma2)
         assert abs(inband + outband - total) <= 1e-10 * max(total, 1.0)
 
     assert time.perf_counter() - t_start < 5.0

@@ -444,7 +444,7 @@ def test_sample_filter_file(tmp_path, capsys):
     from framekit.sampling import SamplingModel, ideal_lowpass
 
     model = SamplingModel(size=16, band=1, period=4)
-    impulse = ideal_lowpass(model).impulse.reshape(1, -1)
+    impulse = np.fft.ifft(ideal_lowpass(model).spectrum).reshape(1, -1)
     fpath = tmp_path / "h.json"
     fpath.write_text(dumps_report(matrix_to_json(impulse)))
     report = out_json(
@@ -465,7 +465,7 @@ def test_sample_filter_file(tmp_path, capsys):
 
 
 def test_sample_sweep_reads_the_filter_file_once(tmp_path, capsys, monkeypatch):
-    impulse = sampling.ideal_lowpass(sampling.SamplingModel(size=16, band=1, period=4)).impulse
+    impulse = np.fft.ifft(sampling.ideal_lowpass(sampling.SamplingModel(size=16, band=1, period=4)).spectrum)
     fpath = tmp_path / "h.csv"
     fpath.write_text(matrix_csv_text(impulse.reshape(1, -1)))
     loads = []

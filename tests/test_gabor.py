@@ -134,6 +134,13 @@ def test_weyl_matrix_matches_shift_and_is_unitary():
         assert np.linalg.norm(w @ x) == pytest.approx(np.linalg.norm(x))
 
 
+def test_weyl_matrix_takes_integer_indices():
+    p = GaborParams(length=4, shift=2, mods=2)
+    for k, l in ((1.5, 0), (0, 1.5), (True, 0)):
+        with pytest.raises(DimensionMismatchError, match="must be an integer"):
+            weyl_matrix(k, l, p)
+
+
 def test_composition_identity():
     # W_{k1,l1} W_{k2,l2} = exp(-2 pi i k2 l1 T / K) W_{k1+k2, l1+l2}
     rng = np.random.default_rng(73)

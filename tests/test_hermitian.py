@@ -150,6 +150,14 @@ def test_rejects_non_square_and_non_finite():
         jacobi_eigh(bad)
 
 
+def test_empty_members_are_rejected_and_empty_stacks_pass():
+    for shape in ((0, 0), (2, 0, 0)):
+        with pytest.raises(DimensionMismatchError, match="nonempty square matrix"):
+            jacobi_eigh(np.zeros(shape))
+    w, v = jacobi_eigh(np.zeros((0, 2, 2)))
+    assert w.shape == (0, 2) and v.shape == (0, 2, 2)
+
+
 def test_is_hermitian_tolerance():
     a = np.array([[1.0, 1.0 + 1e-15j], [1.0 - 1e-15j, 2.0]])
     assert is_hermitian(a)

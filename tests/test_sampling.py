@@ -1,5 +1,6 @@
 """Periodic sampling and reconstruction: PR constraints, noise MSE, frame view."""
 
+import json
 import warnings
 
 import numpy as np
@@ -41,7 +42,7 @@ from framekit.sampling import (
     sample,
     sampling_frame,
 )
-from conftest import spectral_mse
+from api_oracle import noise_profile
 
 def is_bandlimited(x, band, tol=1e-12):
     x = np.asarray(x, dtype=np.complex128)
@@ -129,7 +130,7 @@ def test_sample_takes_every_period_th():
 def test_ideal_lowpass_smallest_case():
     m = SamplingModel(size=8, band=0, period=4)
     filt = ideal_lowpass(m)
-    assert np.allclose(filt.impulse, 0.5)
+    assert np.allclose(np.fft.ifft(filt.spectrum), 0.5)
     assert np.allclose(filt.spectrum[0], 4.0)
 
 
@@ -174,7 +175,7 @@ def test_make_recon_filter_protects_passband_and_aliases():
 
 
 def test_is_perfect_rejects_zero_filter():
-    zero = ReconFilter.from_spectrum(np.zeros(64))
+    zero = ReconFilter(np.zeros(64, dtype=complex))
     assert not is_perfect(zero, WIDE)
     assert is_perfect(ideal_lowpass(WIDE), WIDE)
 
@@ -207,58 +208,64 @@ def test_reconstruct_shape_checks():
     with pytest.raises(DimensionMismatchError):
         reconstruct(np.zeros(5), ideal_lowpass(WIDE), WIDE)
     with pytest.raises(DimensionMismatchError):
-        reconstruct(np.zeros(16), ReconFilter.from_spectrum(np.zeros(8)), WIDE)
+        reconstruct(np.zeros(16), ReconFilter(np.zeros(8, dtype=complex)), WIDE)
 
 
 # ------------------------------------------------------------- analytic MSE
 
 
 def test_analytic_mse_ideal():
-    mean, profile = analytic_mse(ideal_lowpass(WIDE), WIDE, sigma2=1.0)
-    assert mean == pytest.approx(9.0 / 16.0, rel=1e-12)
+    mean = analytic_mse(ideal_lowpass(WIDE), WIDE, sigma2=1.0)
+    assert type(mean) is float and mean == 9.0 / 16.0
+    profile = noise_profile(ideal_lowpass(WIDE), WIDE, 1.0)
     assert np.allclose(profile, 9.0 / 16.0, atol=1e-12)  # flat for the ideal filter
 
 
 def test_analytic_mse_critical_equals_noise_power():
     m = SamplingModel(size=36, band=4, period=4)
-    mean, _ = analytic_mse(ideal_lowpass(m), m, sigma2=2.5)
+    mean = analytic_mse(ideal_lowpass(m), m, sigma2=2.5)
     assert mean == pytest.approx(2.5, rel=1e-12)
 
 
 def test_analytic_mse_zero_filter():
-    mean, profile = analytic_mse(ReconFilter.from_spectrum(np.zeros(64)), WIDE, 1.0)
-    assert mean == 0.0 and np.all(profile == 0.0)
+    zero = ReconFilter(np.zeros(64, dtype=complex))
+    assert analytic_mse(zero, WIDE, 1.0) == 0.0
+    assert np.all(noise_profile(zero, WIDE, 1.0) == 0.0)
 
 
 def test_analytic_matches_spectral_for_any_filter():
+    # the spectral sum analytic_mse returns equals the mean of the
+    # time-domain profile built from the impulse response
     rng = np.random.default_rng(107)
     for _ in range(5):
         h = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         filt = ReconFilter.from_impulse(h)
-        mean, _ = analytic_mse(filt, WIDE, sigma2=0.7)
-        assert mean == pytest.approx(spectral_mse(filt, WIDE, 0.7), rel=1e-12)
+        mean = analytic_mse(filt, WIDE, sigma2=0.7)
+        assert mean == pytest.approx(np.mean(noise_profile(filt, WIDE, 0.7)), rel=1e-12)
+        assert mean == pytest.approx(0.7 * np.sum(np.abs(h) ** 2) / 4, rel=1e-12)
 
 
 def test_profile_flat_when_support_fits_one_alias_period():
     # support {-4..7} has no two bins a multiple of L = 16 apart
     filt = make_recon_filter(WIDE, {5: 2.0, 6: 1.0, 7: 0.5})
-    _, profile = analytic_mse(filt, WIDE, 1.0)
+    profile = noise_profile(filt, WIDE, 1.0)
     assert np.ptp(profile) < 1e-12 * profile.max()
 
 
 def test_profile_varies_for_straddling_support():
     # bins -8 and +8 are exactly L apart: polyphase energies differ
     filt = make_recon_filter(WIDE, {8: 2.0, -8: 2.0, 5: 1.0, -5: 1.0})
-    mean, profile = analytic_mse(filt, WIDE, 1.0)
+    mean = analytic_mse(filt, WIDE, 1.0)
+    profile = noise_profile(filt, WIDE, 1.0)
     assert np.ptp(profile) > 1e-3 * mean
-    assert mean == pytest.approx(spectral_mse(filt, WIDE, 1.0), rel=1e-12)
+    assert mean == pytest.approx(np.mean(profile), rel=1e-12)
 
 
 def test_mse_halves_per_oversampling_doubling():
     mses = []
     for period in (4, 2, 1):
         m = SamplingModel(size=64, band=4, period=period)
-        mses.append(analytic_mse(ideal_lowpass(m), m, 1.0)[0])
+        mses.append(analytic_mse(ideal_lowpass(m), m, 1.0))
     assert np.allclose(mses, [9.0 / 16.0, 9.0 / 32.0, 9.0 / 64.0], rtol=1e-12)
     db = 10.0 * np.log10(mses[0] / mses[1])
     assert db == pytest.approx(3.0103, abs=1e-3)
@@ -268,18 +275,38 @@ def test_mse_decomposition_ideal_and_rolloff():
     inband, outband = mse_decomposition(ideal_lowpass(WIDE), WIDE, 1.0)
     assert inband == pytest.approx(9.0 / 16.0, rel=1e-12)
     assert outband == 0.0
+    assert inband + outband == analytic_mse(ideal_lowpass(WIDE), WIDE, 1.0)
 
     filt = make_recon_filter(WIDE, rolloff_values(5, 11, 4.0))
     inband, outband = mse_decomposition(filt, WIDE, 1.0)
     assert inband == pytest.approx(9.0 / 16.0, rel=1e-12)
     assert outband > 0.0
-    total = analytic_mse(filt, WIDE, 1.0)[0]
+    total = analytic_mse(filt, WIDE, 1.0)
     assert inband + outband == pytest.approx(total, rel=1e-10)
+
+
+def test_ideal_noise_mse_is_exact_at_powers_of_two():
+    # sigma2 (2W+1) Ts / N is a dyadic rational here, and the spectral sum
+    # of 2W+1 bins of Ts^2 over N Ts lands on it without rounding
+    for k in range(1, 11):
+        for size, period in ((2**k, 2**j) for j in range(k + 1)):
+            for band in range(min(size // period - 1, size - 2) // 2 + 1):
+                m = SamplingModel(size=size, band=band, period=period)
+                assert analytic_mse(ideal_lowpass(m), m, 1.0) == (2 * band + 1) * period / size
+
+
+def test_sample_mse_report_adds_up_exactly(capsys):
+    from framekit import cli
+
+    argv = ["sample-mse", "--n", "32", "--band", "5", "--period", "1", "--trials", "10"]
+    assert cli.run(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["analytic_mse"] == report["inband_mse"] + report["outband_mse"] == 0.34375
 
 
 def test_mse_decomposition_requires_pr():
     with pytest.raises(NotPerfectReconstructionError):
-        mse_decomposition(ReconFilter.from_spectrum(np.zeros(64)), WIDE, 1.0)
+        mse_decomposition(ReconFilter(np.zeros(64, dtype=complex)), WIDE, 1.0)
 
 
 # -------------------------------------------------------------- Monte Carlo
@@ -379,15 +406,40 @@ def test_negative_seed_is_rejected_before_drawing(monkeypatch):
         make_bandlimited(16, 1, seed=-1)
 
 
-def test_filter_impulse_and_spectrum_are_both_checked():
-    # a filter whose impulse and spectrum disagree in length reaches every
-    # consumer as the same typed error, not a numpy reshape failure
+_NARROW = SamplingModel(size=16, band=1, period=4)
+_IDEAL = ideal_lowpass(_NARROW)
+_SIGNAL = np.ones(16, dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: make_recon_filter(WIDE, {5.5: 1.0}), "bin must be an integer"),
+        (lambda: make_recon_filter(WIDE, {"x": 1.0}), "bin must be an integer"),
+        (lambda: make_bandlimited(16, 1, 1.5), "seed must be an integer"),
+        (lambda: make_bandlimited(16, 1, True), "seed must be an integer"),
+        (lambda: monte_carlo_mse(_SIGNAL, _IDEAL, _NARROW, 1.0, 2.5, 0), "trials must be an integer"),
+        (lambda: monte_carlo_mse(_SIGNAL, _IDEAL, _NARROW, 1.0, 2, -1), "seed must be >= 0, got -1"),
+        (lambda: monte_carlo_mse(_SIGNAL, _IDEAL, _NARROW, 1.0, 2, 0.5), "seed must be an integer"),
+        (lambda: monte_carlo_mse(_SIGNAL, _IDEAL, _NARROW, "1", 2, 0), "sigma2 must be a real number"),
+        (lambda: analytic_mse(_IDEAL, _NARROW, "1"), "sigma2 must be a real number"),
+        (lambda: mse_decomposition(_IDEAL, _NARROW, 1j), "sigma2 must be a real number"),
+    ],
+)
+def test_sampling_arguments_fail_typed(call, message):
+    with pytest.raises(DimensionMismatchError, match=message):
+        call()
+
+
+def test_filter_length_is_checked_by_every_consumer():
+    # a filter of the wrong length reaches every consumer as the same typed
+    # error, not a numpy broadcast failure
     m = SamplingModel(size=16, band=1, period=4)
-    lopsided = ReconFilter(impulse=np.zeros(8, dtype=complex), spectrum=ideal_lowpass(m).spectrum)
+    short = ReconFilter(np.zeros(8, dtype=complex))
     for call in (
-        lambda: analytic_mse(lopsided, m, 1.0),
-        lambda: is_perfect(lopsided, m),
-        lambda: reconstruct(np.zeros(4), lopsided, m),
+        lambda: analytic_mse(short, m, 1.0),
+        lambda: is_perfect(short, m),
+        lambda: reconstruct(np.zeros(4), short, m),
     ):
         with pytest.raises(DimensionMismatchError, match=r"filter length \(8,\), expected 16"):
             call()
