@@ -1,10 +1,12 @@
 """framekit command line: frame, Gabor, and sampling reports.
 
-Every verb prints a deterministic JSON report to stdout, or writes it to
---output; the six verbs whose report has a CSV form take --format, and
-sample-sweep prints CSV unless given --format json.  Exit codes: 0 ok,
-2 usage, 1 domain or file errors; the latter still print {"error": code,
-"detail": ...} to stdout so callers can parse failures.
+A verb computes its report's value (a dict, a complex matrix, or for
+sample-sweep a list of records) and ``run`` has ``serialization.dumps_report``
+render it once, to stdout or to --output.  Reports are deterministic JSON;
+the six verbs whose report has a CSV form take --format, and sample-sweep
+prints CSV unless given --format json.  Exit codes: 0 ok, 2 usage, 1 domain
+or file errors; the latter still print {"error": code, "detail": ...} to
+stdout so callers can parse failures.
 """
 
 import argparse
@@ -16,18 +18,7 @@ import numpy as np
 
 from . import frames, gabor, sampling
 from .errors import DomainError, ParseError
-from .serialization import (
-    _as_strict,
-    _fill,
-    _matrix_fields,
-    dumps_report,
-    load_json,
-    load_matrix,
-    load_vector,
-    matrix_csv_text,
-)
-
-SWEEP_HEADER = "oversampling_factor,analytic_mse,mc_mse,stderr"
+from .serialization import _as_strict, dumps_report, load_json, load_matrix, load_vector
 
 SAMPLE_DEFAULTS = {"sigma2": 1.0, "trials": 1000, "seed": 0, "filter": "ideal"}
 
@@ -42,12 +33,10 @@ def build_parser():
     def add(name, help_, handler, csv=False):
         p = sub.add_parser(name, help=help_)
         # usage errors found after parsing go through the verb's own parser
-        p.set_defaults(handler=handler, error=p.error)
+        p.set_defaults(handler=handler, error=p.error, format="json")
         p.add_argument("--output", help="write the report here instead of stdout")
         if csv:
-            p.add_argument(
-                "--format", choices=("json", "csv"), default=None, help="report format"
-            )
+            p.add_argument("--format", choices=("json", "csv"), help="report format")
         return p
 
     p = add("frame-analyze", "coefficients <f, g_k> of a signal", _cmd_frame_analyze, csv=True)
@@ -94,6 +83,7 @@ def build_parser():
         p.add_argument("--n", type=int, help="signal length N (even)")
         p.add_argument("--band", type=int, help="band half-width W in bins")
         if name == "sample-sweep":
+            p.set_defaults(format="csv")
             p.add_argument("--periods", help="comma-separated sampling periods")
         else:
             p.add_argument("--period", type=int, help="sampling period Ts (divides N)")
@@ -108,12 +98,6 @@ def build_parser():
 
 def _load_frame(path):
     return frames.Frame.from_vectors(load_matrix(path))
-
-
-def _matrix_text(arr, fmt):
-    if fmt == "csv":
-        return matrix_csv_text(arr)
-    return dumps_report(_matrix_fields(arr))
 
 
 def _bounds_report(frame):
@@ -131,44 +115,33 @@ def _bounds_report(frame):
 def _cmd_frame_analyze(args):
     frame = _load_frame(args.input)
     signal = load_vector(args.signal)
-    return _matrix_text(frames.analyze(frame, signal).reshape(-1, 1), args.format)
+    return frames.analyze(frame, signal).reshape(-1, 1)
 
 
 def _cmd_frame_bounds(args):
-    return dumps_report(_bounds_report(_load_frame(args.input)))
+    return _bounds_report(_load_frame(args.input))
 
 
 def _cmd_frame_dual(args):
     frame = _load_frame(args.input)
     if args.param is None:
-        return _matrix_text(frames.canonical_dual(frame).vectors, args.format)
-    left = frames.left_inverse(frame, load_matrix(args.param))
+        return frames.canonical_dual(frame).vectors
     # columns of the left inverse are the alternative dual vectors
-    return _matrix_text(left.T, args.format)
+    return frames.left_inverse(frame, load_matrix(args.param)).T
 
 
 def _cmd_frame_tighten(args):
-    return _matrix_text(frames.tighten(_load_frame(args.input)).vectors, args.format)
+    return frames.tighten(_load_frame(args.input)).vectors
 
 
 def _cmd_frame_naimark(args):
     frame = _load_frame(args.input)
-    return dumps_report(
-        {
-            "subspace_dim": frame.dim,
-            "unitary": _matrix_fields(frames.naimark_dilate(frame)),
-        }
-    )
+    return {"subspace_dim": frame.dim, "unitary": frames.naimark_dilate(frame)}
 
 
 def _cmd_frame_exactness(args):
     profile = frames.exactness_profile(_load_frame(args.input))
-    return dumps_report(
-        {
-            "classification": profile.classification,
-            "diagonal": profile.diagonal,
-        }
-    )
+    return {"classification": profile.classification, "diagonal": profile.diagonal}
 
 
 def _gabor_setup(args):
@@ -182,12 +155,12 @@ def _gabor_setup(args):
 
 def _cmd_gabor_build(args):
     proto, params = _gabor_setup(args)
-    return _matrix_text(gabor.build_gabor_frame(proto, params).vectors, args.format)
+    return gabor.build_gabor_frame(proto, params).vectors
 
 
 def _cmd_gabor_dual(args):
     proto, params = _gabor_setup(args)
-    return _matrix_text(gabor.gabor_dual_prototype(proto, params).reshape(-1, 1), args.format)
+    return gabor.gabor_dual_prototype(proto, params).reshape(-1, 1)
 
 
 def _cmd_gabor_check(args):
@@ -197,7 +170,7 @@ def _cmd_gabor_check(args):
     # the dual is the Gabor system of S^{-1} g; test_gabor_dual_is_the_system_of_its_prototype
     # and test_block_operators_match_the_dense_oracle check that against the dense Frame
     report["wh_structure"] = True if report["is_frame"] else None
-    return dumps_report(report)
+    return report
 
 
 def _config_value(args, cfg, key, kind, default=None):
@@ -218,7 +191,8 @@ def _config_value(args, cfg, key, kind, default=None):
 def _sampling_setup(args):
     """The sampling request with every value the verb reads resolved, its
     ``periods`` [period] unless the verb is sample-sweep.  The trial budget
-    is checked before anything is built."""
+    is checked before anything is built, for one period and then for the
+    sweep's periods, each of which runs every trial."""
     cfg = {}
     if args.input:
         cfg = load_json(args.input)
@@ -255,6 +229,7 @@ def _sampling_setup(args):
             raise ParseError("bad config periods %r" % (raw,)) from None
     else:
         args.error("missing 'periods' (give --periods or put it in the config file)")
+    sampling.check_trial_budget(req.n, len(periods) * req.trials)
     req.periods = periods
     return req
 
@@ -282,17 +257,15 @@ def _cmd_sample_reconstruct(args):
     req = _sampling_setup(args)
     [(model, filt, signal)] = _sampling_runs(req)
     recon = sampling.reconstruct(sampling.sample(signal, model), filt, model)
-    return dumps_report(
-        {
-            "n": req.n,
-            "band": req.band,
-            "period": model.period,
-            "seed": req.seed,
-            "filter": req.filter,
-            "pr": sampling.is_perfect(filt, model),
-            "max_abs_error": float(np.max(np.abs(signal - recon))),
-        }
-    )
+    return {
+        "n": req.n,
+        "band": req.band,
+        "period": model.period,
+        "seed": req.seed,
+        "filter": req.filter,
+        "pr": sampling.is_perfect(filt, model),
+        "max_abs_error": float(np.max(np.abs(signal - recon))),
+    }
 
 
 def _cmd_sample_mse(args):
@@ -316,7 +289,7 @@ def _cmd_sample_mse(args):
         inband, outband = sampling.mse_decomposition(filt, model, req.sigma2)
         report["inband_mse"] = inband
         report["outband_mse"] = outband
-    return dumps_report(report)
+    return report
 
 
 def _cmd_sample_sweep(args):
@@ -332,11 +305,7 @@ def _cmd_sample_sweep(args):
                 "stderr": experiment.stderr,
             }
         )
-    if args.format == "json":
-        return dumps_report(rows)
-    table = np.array([list(row.values()) for row in rows])
-    line = ",".join(["%.17g"] * table.shape[1])
-    return SWEEP_HEADER + "\n" + _fill("\n".join([line] * len(rows)), table)
+    return rows
 
 
 def run(argv=None):
@@ -344,7 +313,7 @@ def run(argv=None):
     take the report raises its own OSError, which ``main`` handles."""
     try:
         args = build_parser().parse_args(argv)
-        text, code = args.handler(args), 0
+        text, code = dumps_report(args.handler(args), args.format), 0
         if args.output:
             with open(args.output, "w", encoding="utf-8") as handle:
                 handle.write(text)

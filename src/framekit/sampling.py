@@ -18,6 +18,7 @@ A filter is held as its DFT H alone; analytic_mse returns the noise MSE
 sigma2/(N Ts) * sum |H|^2, and its per-position profile is a test oracle.
 """
 
+import cmath
 import numbers
 from dataclasses import dataclass
 
@@ -174,8 +175,9 @@ def ideal_lowpass(model):
 def make_recon_filter(model, dontcare_values=None):
     """A perfect-reconstruction filter with chosen don't-care bin values.
 
-    dontcare_values maps centered bins to complex gains; assigning a passband
-    or alias-image bin raises, since PR pins those.
+    dontcare_values maps centered bins to gains, each a finite real or complex
+    number other than a bool; assigning a passband or alias-image bin raises,
+    since PR pins those.
     """
     spectrum = ideal_lowpass(model).spectrum.copy()
     half = model.size // 2
@@ -190,7 +192,13 @@ def make_recon_filter(model, dontcare_values=None):
             raise ProtectedBinError(
                 "bin %d is pinned by perfect reconstruction" % nu
             )
-        spectrum[nu % model.size] = value
+        try:
+            finite = not isinstance(value, (bool, np.bool_)) and cmath.isfinite(value)
+        except (TypeError, OverflowError):  # not a number, or beyond complex128
+            finite = False
+        if not finite:
+            raise DimensionMismatchError("gain at bin %d must be a finite number" % nu)
+        spectrum[nu % model.size] = complex(value)
     return ReconFilter(spectrum)
 
 

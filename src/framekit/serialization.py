@@ -196,8 +196,18 @@ def matrix_csv_text(arr):
     return "\n".join([",".join(row) for row in cells.tolist()])
 
 
-def dumps_report(value):
-    """Deterministic JSON with %.17g floats and insertion-ordered keys."""
+def dumps_report(value, fmt="json"):
+    """The report's text: deterministic JSON with %.17g floats and
+    insertion-ordered keys, where a complex matrix is {"rows", "cols",
+    "data"}; or, with ``fmt="csv"``, a complex matrix as ``matrix_csv_text``
+    and a list of flat records as a header of their keys and one line of
+    %.17g values per record."""
+    if fmt == "csv":
+        if isinstance(value, np.ndarray):
+            return matrix_csv_text(value)
+        table = np.array([list(record.values()) for record in value])
+        line = ",".join(["%.17g"] * table.shape[1])
+        return ",".join(value[0]) + "\n" + _fill("\n".join([line] * len(value)), table)
     pieces = []
     _emit(value, pieces)
     return "".join(pieces)
@@ -232,6 +242,8 @@ def _emit(value, pieces):
             pieces.append("[" + ", ".join(_distinct_cells(value, "[%.17g, %.17g]").tolist()) + "]")
         else:
             pieces.append(_fill(_array_template(value.shape), value))
+    elif isinstance(value, np.ndarray) and value.dtype.kind == "c":
+        _emit(_matrix_fields(value), pieces)
     elif isinstance(value, np.ndarray):
         _emit(value.tolist(), pieces)
     else:

@@ -42,6 +42,12 @@ def matrix_csv_text(arr):
     return "\n".join(",".join(format_complex(z) for z in row) for row in arr)
 
 
+def records_csv_text(records):
+    lines = [",".join(records[0])]
+    lines += [",".join(format_float(v) for v in record.values()) for record in records]
+    return "\n".join(lines)
+
+
 def dumps_report(value):
     pieces = []
     _emit(value, pieces)

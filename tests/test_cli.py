@@ -242,7 +242,7 @@ def test_format_only_where_the_report_has_a_csv_form(tmp_path, capsys):
         assert run_cli(capsys, *argv, "--format", "csv") == (0, want, ""), argv
     sweep = ["sample-sweep", *sample_argv, "--periods", "2,1", "--trials", "3"]
     code, want, _ = run_cli(capsys, *sweep)
-    assert code == 0 and want.startswith(cli.SWEEP_HEADER + "\n")
+    assert code == 0 and want.startswith("oversampling_factor,analytic_mse,mc_mse,stderr\n")
     assert run_cli(capsys, *sweep, "--format", "csv") == (0, want, "")
     # a verb whose report is JSON only refuses the flag before reading anything
     for argv in (
@@ -541,7 +541,27 @@ def test_sample_sweep_csv_matches_the_json_values(capsys):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     want = [",".join(report_oracle.format_float(row[key]) for key in row) for row in rows]
-    assert out == "\n".join([cli.SWEEP_HEADER] + want) + "\n"
+    assert out == "\n".join(["oversampling_factor,analytic_mse,mc_mse,stderr"] + want) + "\n"
+
+
+def test_sample_sweep_budget_counts_its_periods(tmp_path, capsys, monkeypatch):
+    # every listed period runs all the trials, a repeated period too
+    real = sampling.monte_carlo_mse
+    started = []
+
+    def few_trials(signal, filt, model, sigma2, trials, seed):
+        started.append(model.period)
+        return real(signal, filt, model, sigma2, 3, seed)
+
+    monkeypatch.setattr(sampling, "monte_carlo_mse", few_trials)
+    trials = sampling.MAX_TRIAL_SAMPLES // 16  # two periods of N = 8 fill the budget
+    argv = ["sample-sweep", "--n", "8", "--band", "1", "--trials", str(trials)]
+    assert run_cli(capsys, *argv, "--periods", "2,1")[0] == 0 and started == [2, 1]
+    assert out_error(capsys, *argv, "--periods", "2,2,2") == "too_large"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 8, "band": 1, "periods": [2, 2, 2], "trials": trials}))
+    assert out_error(capsys, "sample-sweep", "--input", str(cfg)) == "too_large"
+    assert started == [2, 1]
 
 
 def test_sampling_request_errors_keep_their_order(tmp_path, capsys):
@@ -918,6 +938,7 @@ def test_size_limits_reject_before_allocation(capsys, monkeypatch):
         ["gabor-build", "--proto", "delta", "--n", "1048576", "--shift", "1", "--mods", "1048576"],
         ["sample-mse", "--n", "8", "--band", "1", "--period", "2", "--trials", "100000000000"],
         ["sample-sweep", "--n", "8", "--band", "1", "--periods", "2,1", "--trials", "100000000000"],
+        ["sample-sweep", "--n", "4096", "--band", "1", "--periods", "1,1", "--trials", "4096"],
         ["sample-reconstruct", "--n", "33554432", "--band", "1", "--period", "2"],
     ):
         assert out_error(capsys, *argv) == "too_large"

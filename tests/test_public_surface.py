@@ -47,3 +47,23 @@ def test_every_public_name_is_used_outside_the_tests():
         if name not in used
     ]
     assert not unused, "public but unused outside the tests: %s" % ", ".join(unused)
+
+
+def test_cli_leaves_the_report_layout_to_serialization():
+    # a verb returns its report's value; run renders it with dumps_report
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "serialization"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == ["_as_strict"]
+    renderers = [
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and any(isinstance(n, ast.Name) and n.id == "dumps_report" for n in ast.walk(node))
+    ]
+    assert renderers == ["run"]

@@ -174,6 +174,16 @@ def test_make_recon_filter_protects_passband_and_aliases():
         make_recon_filter(WIDE, {40: 1.0})
 
 
+@pytest.mark.parametrize(
+    "gain",
+    ["x", None, True, np.True_, float("inf"), float("nan"), complex(1.0, float("-inf")), 10**400],
+    ids=["str", "none", "bool", "numpy-bool", "inf", "nan", "complex-inf", "huge-int"],
+)
+def test_make_recon_filter_gains_are_finite_numbers(gain):
+    with pytest.raises(DimensionMismatchError, match="gain at bin 5 must be a finite number"):
+        make_recon_filter(WIDE, {5: gain})
+
+
 def test_is_perfect_rejects_zero_filter():
     zero = ReconFilter(np.zeros(64, dtype=complex))
     assert not is_perfect(zero, WIDE)

@@ -281,6 +281,34 @@ def test_non_finite_output_still_raises():
             dumps_report({"v": np.array([0.0, bad])})
 
 
+def test_a_complex_matrix_renders_as_its_fields_or_its_csv():
+    rng = np.random.default_rng(139)
+    for m in (
+        rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4)),
+        np.array([EDGE_VALUES], dtype=complex),
+        np.array([[complex(-0.0, -0.0)]]),
+        gabor.build_gabor_frame(gabor.named_prototype("boxcar", 8), gabor.GaborParams(8, 2, 4)).vectors,
+    ):
+        assert dumps_report(m, "csv") == matrix_csv_text(m)
+        assert dumps_report(m) == dumps_report(_matrix_fields(m))
+        assert dumps_report({"k": 2, "m": m}) == dumps_report({"k": 2, "m": _matrix_fields(m)})
+
+
+def test_records_csv_matches_per_element_walk():
+    records = [
+        {"a": -0.0, "b": 0.1, "c": 2},
+        {"a": 5e-324, "b": -1.7976931348623157e308, "c": np.float64(-0.0)},
+        {"a": 1e16, "b": 1.0 / 3.0, "c": np.float32(0.5)},
+    ]
+    out = dumps_report(records, "csv")
+    assert out == report_oracle.records_csv_text(records)
+    assert out.splitlines()[:2] == ["a,b,c", "0,0.10000000000000001,2"]
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ParseError, match="non-finite value in output") as info:
+            dumps_report([{"a": 1.0, "b": 2.0}, {"a": 0.5, "b": bad}], "csv")
+        assert info.value.code == "parse_error"
+
+
 def test_percent_signs_survive_the_template():
     report = {"100%": _matrix_fields(np.eye(2)), "%.17g %s %%": "50% of %d", "d": np.array([0.5])}
     out = dumps_report(report)
