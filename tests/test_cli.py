@@ -6,17 +6,16 @@ import json
 import os
 import subprocess
 import sys
-import time
 import warnings
 
 import numpy as np
 import pytest
 
-import framekit
 import report_oracle
 from framekit import cli, gabor, sampling
 from framekit.serialization import dumps_report, load_vector, matrix_csv_text, matrix_from_json
 from report_oracle import matrix_to_json
+from spawn import cli_command, spawn_cli
 
 RT3 = np.sqrt(3.0)
 MB_VECTORS = [[0.0, 1.0], [-RT3 / 2, -0.5], [RT3 / 2, -0.5]]
@@ -171,37 +170,21 @@ def test_frame_exactness(tmp_path, capsys):
     assert report["classification"] == "exact"
 
 
-def run_child(tmp_path, *argv):
-    """Exit code, stdout, stderr, wall seconds and peak RSS (KiB) of one CLI
-    process.  The peak starts at this process's resident size."""
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(framekit.__file__)))
-    with open(tmp_path / "out.txt", "wb") as out, open(tmp_path / "err.txt", "wb") as err:
-        start = time.perf_counter()
-        proc = subprocess.Popen([sys.executable, "-m", "framekit.cli", *argv], stdout=out, stderr=err, env=env)
-        # wait4 gives this child's own usage, which RUSAGE_CHILDREN would
-        # merge with other tests' subprocesses; ru_maxrss is in KiB
-        _, status, usage = os.wait4(proc.pid, 0)
-        seconds = time.perf_counter() - start
-    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped by wait4
-    return (proc.returncode, (tmp_path / "out.txt").read_text(), (tmp_path / "err.txt").read_bytes(),
-            seconds, usage.ru_maxrss)
-
-
 def test_frame_exactness_of_a_tall_frame_stays_small(tmp_path):
     # a K x K range projection of 20000 vectors would take 6.4 GB per copy
     rng = np.random.default_rng(67)
     path = tmp_path / "tall.csv"
     path.write_text("\n".join("%r,%r" % tuple(row) for row in rng.standard_normal((20000, 2)).tolist()))
-    code, out, err, seconds, peak = run_child(tmp_path, "frame-exactness", "--input", str(path))
+    code, out, err, seconds, peak = spawn_cli("frame-exactness", "--input", str(path))
     assert code == 0 and err == b""
     assert len(json.loads(out)["diagonal"]) == 20000
     assert seconds < 2.0 and peak < 100 * 1024, (seconds, peak)
 
 
-def test_gabor_check_at_the_size_limit_builds_only_the_system(tmp_path):
+def test_gabor_check_at_the_size_limit_builds_only_the_system():
     # the 16384 x 1024 system takes 268 MB; its dual's matrix would double that
     argv = ("gabor-check", "--proto", "gaussian", "--n", "1024", "--shift", "8", "--mods", "128")
-    code, out, err, _seconds, peak = run_child(tmp_path, *argv)
+    code, out, err, _seconds, peak = spawn_cli(*argv)
     assert code == 0 and err == b""
     assert json.loads(out)["wh_structure"] is True
     assert peak < 400 * 1024, peak
@@ -627,13 +610,9 @@ def test_huge_sigma2_reports_overflow(capsys):
         for argv in argvs:
             code, out, err = run_cli(capsys, *argv)
             assert (code, err, json.loads(out)["error"]) == (1, "", "overflow"), argv
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(framekit.__file__)))
     for argv in argvs:
-        proc = subprocess.run(
-            [sys.executable, "-m", "framekit.cli", *argv],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        assert (proc.returncode, proc.stderr, json.loads(proc.stdout)["error"]) == (1, "", "overflow"), argv
+        code, out, err, _, _ = spawn_cli(*argv, text=True)
+        assert (code, err, json.loads(out)["error"]) == (1, "", "overflow"), argv
 
 
 def test_large_sigma2_keeps_a_finite_standard_error(capsys):
@@ -714,15 +693,11 @@ def test_untrusted_inputs_report_typed_errors(tmp_path, capsys):
         for argv, want in cases:
             code, out, err = run_cli(capsys, *argv)
             assert (code, err, json.loads(out)["error"]) == (1, "", want), argv
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(framekit.__file__)))
     # one process per kind: undecodable, deeply nested, seed, nan, inf, and
     # the three beyond float64's range
     for argv, want in (cases[i] for i in (0, 1, 4, 7, 8, 10, 11, 13)):
-        proc = subprocess.run(
-            [sys.executable, "-m", "framekit.cli", *argv],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        assert (proc.returncode, proc.stderr, json.loads(proc.stdout)["error"]) == (1, "", want), argv
+        code, out, err, _, _ = spawn_cli(*argv, text=True)
+        assert (code, err, json.loads(out)["error"]) == (1, "", want), argv
 
 
 # ------------------------------------------------------------------ output
@@ -759,12 +734,8 @@ def test_output_into_missing_directory_is_a_file_error(tmp_path, capsys):
 def test_closed_stdout_ends_without_a_traceback():
     # a 1024 x 32 report is far larger than a pipe buffer, so the write
     # is still in progress when the reader goes away
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(framekit.__file__)))
-    argv = ["gabor-build", "--proto", "gaussian", "--n", "32", "--shift", "1", "--mods", "32"]
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "framekit.cli", *argv],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    )
+    command, env = cli_command("gabor-build", "--proto", "gaussian", "--n", "32", "--shift", "1", "--mods", "32")
+    proc = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     assert proc.stdout.read(16).startswith(b'{"rows": 1024')
     proc.stdout.close()
     code = proc.wait(timeout=60)
@@ -776,25 +747,16 @@ def test_closed_stdout_ends_without_a_traceback():
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_full_stdout_ends_without_a_traceback():
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(framekit.__file__)))
     gabor_check = ["gabor-check", "--proto", "gaussian", "--n", "8", "--shift", "2"]
     # a report, then a domain-error report (3 does not divide 8)
-    for mods in ("4", "3"):
-        with open("/dev/full", "wb") as full:
-            proc = subprocess.run(
-                [sys.executable, "-m", "framekit.cli", *gabor_check, "--mods", mods],
-                stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
-            )
-        assert proc.returncode == 1, mods
-        assert proc.stderr.startswith("framekit: error: cannot write output: ")
-        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr, proc.stderr
-        # `> /dev/full 2>&1`: the stderr line cannot be written either
-        with open("/dev/full", "wb") as full:
-            proc = subprocess.run(
-                [sys.executable, "-m", "framekit.cli", *gabor_check, "--mods", mods],
-                stdout=full, stderr=subprocess.STDOUT, env=env, timeout=60,
-            )
-        assert proc.returncode == 1, mods
+    with open("/dev/full", "wb") as full:
+        for mods in ("4", "3"):
+            code, _, err, _, _ = spawn_cli(*gabor_check, "--mods", mods, stdout=full, text=True)
+            assert code == 1, mods
+            assert err.startswith("framekit: error: cannot write output: ")
+            assert err.count("\n") == 1 and "Traceback" not in err, err
+            # `> /dev/full 2>&1`: the stderr line cannot be written either
+            assert spawn_cli(*gabor_check, "--mods", mods, stdout=full, stderr=subprocess.STDOUT)[0] == 1, mods
 
 
 class _FullStream(io.TextIOBase):
@@ -844,19 +806,14 @@ def test_main_keeps_the_report_and_the_exit_code(capsys):
     # main ends the process right after its flush; the bytes, the exit code
     # and the usage line must all be out by then (the other subprocess runs
     # in this file check exit 1)
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(framekit.__file__)))
     argv = ["gabor-build", "--proto", "gaussian", "--n", "64", "--shift", "2", "--mods", "32"]
     code, text, _ = run_cli(capsys, *argv)
-    proc = subprocess.run(
-        [sys.executable, "-m", "framekit.cli", *argv], capture_output=True, env=env, timeout=60
-    )
-    assert (proc.returncode, proc.stderr) == (code, b"") == (0, b"")
-    assert proc.stdout == text.encode("utf-8")
-    proc = subprocess.run(
-        [sys.executable, "-m", "framekit.cli", *argv[:-2]], capture_output=True, text=True, env=env, timeout=60
-    )
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr.splitlines()[-1] == (
+    child_code, out, err, _, _ = spawn_cli(*argv)
+    assert (child_code, err) == (code, b"") == (0, b"")
+    assert out == text.encode("utf-8")
+    code, out, err, _, _ = spawn_cli(*argv[:-2], text=True)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == (
         "framekit gabor-build: error: the following arguments are required: --mods"
     )
 
@@ -894,13 +851,9 @@ def test_frame_operator_overflow_reports_overflow(tmp_path, capsys):
         for verb in ("frame-dual", "frame-tighten", "frame-exactness"):
             code, out, err = run_cli(capsys, verb, "--input", str(path))
             assert code == 0 and err == "", verb
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(framekit.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-m", "framekit.cli", "frame-bounds", "--input", str(path)],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert proc.returncode == 1 and proc.stderr == ""
-    assert json.loads(proc.stdout)["error"] == "overflow"
+    code, out, err, _, _ = spawn_cli("frame-bounds", "--input", str(path), text=True)
+    assert code == 1 and err == ""
+    assert json.loads(out)["error"] == "overflow"
 
 
 def test_frame_operator_underflow_reports_overflow(tmp_path, capsys):
