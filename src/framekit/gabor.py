@@ -24,8 +24,9 @@ them as their spectrum and form no M x M matrix.  S^{-1} and S^{-1/2} act
 through the Zak domain (the DFT of each residue class, the p x p blocks, the
 inverse DFT), and S^{-1} g and S^{-1/2} g are computed at most once per frame.
 As S commutes with every system shift, the canonical dual and tight frame are
-the Gabor frames of those two windows, which verify_wh_structure checks by
-prototype.  The blocks are formed from g 2^-e under the scale rule of
+the Gabor frames of those two windows.  verify_wh_structure compares the
+prototype of a Gabor frame with a window under equal params and rejects any
+other frame.  The blocks are formed from g 2^-e under the scale rule of
 frames, so rescaling g by a power of two rescales S^{-1} g by its inverse and
 leaves S^{-1/2} g as it is, bit for bit.
 
@@ -51,7 +52,6 @@ from .frames import (
     Frame,
     Spectrum,
     _as_complex_vector,
-    _check_frame_shape,
     _check_integers,
     _normalized,
 )
@@ -249,25 +249,15 @@ def gabor_dual_prototype(proto, params):
     return build_gabor_frame(proto, params)._window(False).copy()
 
 
-def verify_wh_structure(dual_frame, proto, params):
-    """Whether dual_frame is the Weyl-Heisenberg system of proto within
-    FRAME_RTOL times max|proto|, the system's largest entry (modulations have
-    unit modulus), so rescaling never changes the answer.  A Gabor frame of
-    equal params is by construction the system of its prototype, so only the
-    prototypes are compared."""
+def verify_wh_structure(frame, proto, params):
+    """Whether frame, a Gabor frame of params, is the Weyl-Heisenberg system
+    of proto: its prototype is proto within FRAME_RTOL times max|proto|, the
+    system's largest entry (modulations have unit modulus), so rescaling
+    never changes the answer.  Any other frame raises DimensionMismatchError."""
     g = _as_complex_vector(proto, params.length, "prototype")
-    _check_frame_shape(dual_frame, (params.count, params.length), "frame")
-    tol = FRAME_RTOL * np.abs(g).max()
-    if isinstance(dual_frame, _GaborFrame) and dual_frame.params == params:
-        return bool(np.abs(dual_frame.prototype - g).max() <= tol)
-    plan = _plan(params)
-    translates = np.conj(g)[plan.index]
-    rows = dual_frame.analysis.reshape(params.mods, params.steps, params.length)
-    # row block k of the system's analysis matrix is conj(g)[index] * phases[k]:
-    # one modulation at a time, so temporaries stay L x M
-    return all(
-        np.abs(translates * phase - row).max() <= tol for phase, row in zip(plan.phases, rows)
-    )
+    if not (isinstance(frame, _GaborFrame) and frame.params == params):
+        raise DimensionMismatchError("frame is not a Gabor frame of %r" % (params,))
+    return bool(np.abs(frame.prototype - g).max() <= FRAME_RTOL * np.abs(g).max())
 
 
 def named_prototype(name, length):

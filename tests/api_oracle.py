@@ -2,16 +2,17 @@
 
 The paper's identities written out directly: conjugate symmetry, a left
 inverse (L T = I), the range projection T S^-1 T^H, the time-frequency
-shift and the reconstruction noise at each sample position.  framekit itself
-never calls them, so they live beside the tests, built from the package's
-own argument checks so that bad input fails with the same typed errors.
+shift, a Weyl-Heisenberg system compared row by row and the reconstruction
+noise at each sample position.  framekit itself never calls them, so they
+live beside the tests, built from the package's own argument checks so that
+bad input fails with the same typed errors.
 """
 
 import numpy as np
 
 from framekit import canonical_dual
-from framekit.frames import FRAME_RTOL, _as_complex_matrix, _as_complex_vector
-from framekit.gabor import _modulations
+from framekit.frames import FRAME_RTOL, _as_complex_matrix, _as_complex_vector, _check_frame_shape
+from framekit.gabor import _modulations, _plan
 from framekit.hermitian import _prescale, _prescaled_is_hermitian
 from framekit.sampling import _check_sigma2, _filter_spectrum
 
@@ -49,6 +50,23 @@ def weyl_shift(x, k, l, params):
     """Translate by l*T and modulate by the k-th K-th root of unity."""
     arr = _as_complex_vector(x, params.length, "prototype")
     return np.roll(arr, l * params.shift) * _modulations(k, params.length, params.mods)
+
+
+def wh_rows_match(frame, proto, params):
+    """Whether the rows of any frame are the Weyl-Heisenberg system of proto
+    within FRAME_RTOL times max|proto|, the system's largest entry, compared
+    row by row against the system built from the lattice's plan."""
+    g = _as_complex_vector(proto, params.length, "prototype")
+    _check_frame_shape(frame, (params.count, params.length), "frame")
+    tol = FRAME_RTOL * np.abs(g).max()
+    plan = _plan(params)
+    translates = np.conj(g)[plan.index]
+    rows = frame.analysis.reshape(params.mods, params.steps, params.length)
+    # row block k of the system's analysis matrix is conj(g)[index] * phases[k]:
+    # one modulation at a time, so temporaries stay L x M
+    return all(
+        np.abs(translates * phase - row).max() <= tol for phase, row in zip(plan.phases, rows)
+    )
 
 
 def noise_profile(filt, model, sigma2):

@@ -41,7 +41,7 @@ from framekit.gabor import (
     weyl_matrix,
 )
 
-from api_oracle import range_projection, weyl_shift
+from api_oracle import range_projection, weyl_shift, wh_rows_match
 
 
 def random_proto(rng, length):
@@ -278,7 +278,7 @@ def test_pseudo_inverse_dual_of_rank_deficient_system():
         gabor_dual_prototype(delta, p)
     s_pinv = np.diag([0.25, 0.0, 0.25, 0.0])
     pseudo_dual = Frame.from_vectors([s_pinv @ v for v in f.vectors])
-    assert verify_wh_structure(pseudo_dual, s_pinv @ delta, p)
+    assert wh_rows_match(pseudo_dual, s_pinv @ delta, p)
 
 
 def test_verify_rejects_mismatched_shapes():
@@ -286,6 +286,19 @@ def test_verify_rejects_mismatched_shapes():
     wrong = Frame.from_vectors(np.eye(4)[:3])
     with pytest.raises(DimensionMismatchError):
         verify_wh_structure(wrong, [1.0, 0.0, 0.0, 0.0], p)
+
+
+def test_verify_wh_structure_takes_only_gabor_frames_of_its_params():
+    # a plain Frame holding the system's rows, and a Gabor frame of other
+    # params with the same 8 x 8 shape, are not read as a wrong False
+    p = GaborParams(length=8, shift=2, mods=2)
+    g = named_prototype("gaussian", 8)
+    system = build_gabor_frame(g, p)
+    assert verify_wh_structure(system, g, p)
+    for frame in (Frame(system.analysis), build_gabor_frame(g, GaborParams(length=8, shift=4, mods=4))):
+        assert (frame.num_vectors, frame.dim) == (8, 8)
+        with pytest.raises(DimensionMismatchError, match="not a Gabor frame of"):
+            verify_wh_structure(frame, g, p)
 
 
 def test_verify_false_for_wrong_prototype():
@@ -308,7 +321,7 @@ def test_verify_wh_structure_does_not_depend_on_scale():
         # primal system against the dual prototype
         off = dual.analysis.copy()
         off[5, 7] += 1e-6 * np.max(np.abs(dual_proto))
-        assert not verify_wh_structure(Frame(off), dual_proto, p), s
+        assert not wh_rows_match(Frame(off), dual_proto, p), s
         assert not verify_wh_structure(system, dual_proto, p), s
 
 
@@ -618,6 +631,18 @@ def test_walnut_path_rejects_the_delta_window():
         canonical_dual(build_gabor_frame(delta, p))
 
 
+@pytest.fixture
+def fresh_systems(monkeypatch):
+    """An empty live-system registry: a system that an earlier test's failure
+    still holds (its traceback refers to it) is then not handed to this test,
+    whose counts of solves, tables or live systems would miss its build."""
+    import weakref
+
+    import framekit.gabor
+
+    monkeypatch.setattr(framekit.gabor, "_live_systems", weakref.WeakValueDictionary())
+
+
 def record_solves(monkeypatch):
     import framekit.frames
     import framekit.gabor
@@ -634,7 +659,7 @@ def record_solves(monkeypatch):
     return shapes
 
 
-def test_gabor_check_solves_no_dense_operator(monkeypatch, capsys):
+def test_gabor_check_solves_no_dense_operator(monkeypatch, capsys, fresh_systems):
     from framekit import cli
 
     # one stacked solve per check; gabor_dual_prototype reads the spectrum of
@@ -696,7 +721,7 @@ def test_chunked_block_paths_match_the_dense_oracle():
     g = random_proto(rng, 64)
     system = build_gabor_frame(g, p)
     # 1024 x 64: the dual and tight frames come from their prototypes, and
-    # the row check of a plain Frame takes one modulation at a time
+    # the oracle's row check of a plain Frame takes one modulation at a time
     dense = Frame(system.analysis)
     bounds = frame_bounds(dense)
     cond = bounds.upper / bounds.lower
@@ -707,7 +732,7 @@ def test_chunked_block_paths_match_the_dense_oracle():
     assert verify_wh_structure(dual, gd, p)
     off = dual.analysis.copy()
     off[-1, -1] += 1e-6 * np.max(np.abs(gd))
-    assert not verify_wh_structure(Frame(off), gd, p)
+    assert not wh_rows_match(Frame(off), gd, p)
 
 
 def conjugated_system(g, p):
@@ -846,7 +871,7 @@ def test_distinct_prototypes_and_params_get_distinct_frames():
     assert np.array_equal(others[1].analysis, system.analysis)  # -0.0 == 0.0
 
 
-def test_dropped_systems_are_not_retained(monkeypatch):
+def test_dropped_systems_are_not_retained(monkeypatch, fresh_systems):
     import gc
 
     import framekit.gabor
@@ -892,7 +917,7 @@ def test_walnut_overflow_is_typed_and_silent():
             gabor_dual_prototype(np.full(8, 1e200), params)
 
 
-def test_gabor_frames_are_freed_by_reference_counting():
+def test_gabor_frames_are_freed_by_reference_counting(fresh_systems):
     import gc
     import weakref
 
@@ -976,10 +1001,10 @@ def test_windows_rescale_exactly():
 
 
 def test_both_routes_of_the_structure_check_agree():
-    # a GaborFrame of equal params is checked by its prototype, any other
-    # frame row by row: both answer alike on the frame's own prototype, the
-    # primal one, one entry moved by 0.5 and 2 tolerances, and all of these
-    # rescaled by 2^400 and 2^-400
+    # the prototype check of a Gabor frame answers as the oracle's row check
+    # of its rows does: on the frame's own prototype, the primal one, one
+    # entry moved by 0.5 and 2 tolerances, and all of these rescaled by 2^400
+    # and 2^-400
     rng = np.random.default_rng(179)
     spanning = 0
     for p in WALNUT_CONFIGS:
@@ -1003,12 +1028,12 @@ def test_both_routes_of_the_structure_check_agree():
                 for proto, want in protos:
                     for factor, result in ((1.0, want), (2.0**400, False), (2.0**-400, False)):
                         got = verify_wh_structure(gf, proto * factor, p)
-                        rows = verify_wh_structure(dense, proto * factor, p)
+                        rows = wh_rows_match(dense, proto * factor, p)
                         assert got is rows is result, (p, scale, factor)
     assert spanning >= 3 * (len(WALNUT_CONFIGS) // 2)
 
 
-def test_gabor_check_evaluates_the_phases_once(monkeypatch, capsys):
+def test_gabor_check_evaluates_the_phases_once(monkeypatch, capsys, fresh_systems):
     import framekit.gabor
     from framekit import cli
 
@@ -1027,7 +1052,7 @@ def test_gabor_check_evaluates_the_phases_once(monkeypatch, capsys):
     for _ in range(2):
         assert cli.run(argv) == 0
         assert '"wh_structure": true' in capsys.readouterr().out
-    # the builds and the structure checks of both calls share one plan, made
-    # once: its K x M phases and the q x q Zak-domain DFT of the Walnut blocks
+    # the builds of both calls share one plan, made once: its K x M phases
+    # and the q x q Zak-domain DFT of the Walnut blocks
     assert tables == [(48, 12), (4, 4)]
     assert (cache.cache_info().misses, cache.cache_info().currsize) == (1, 1)
