@@ -235,16 +235,16 @@ def _sampling_setup(args):
 
 
 def _sampling_runs(req):
-    """(model, filter, signal) per period.  The filter file is read and the
-    signal drawn once, after the first model has reported any bad argument:
-    neither depends on the period."""
-    impulse = signal = None
+    """(model, filter, signal) per period.  A filter file is read and
+    transformed and the signal drawn once, after the first model has reported
+    any bad argument: none of them depends on the period."""
+    filt = signal = None
     for period in req.periods:
         model = sampling.SamplingModel(size=req.n, band=req.band, period=period)
         if req.filter == "ideal":
             filt = sampling.ideal_lowpass(model)
-        else:
-            impulse = load_vector(req.filter) if impulse is None else impulse
+        elif filt is None:
+            impulse = load_vector(req.filter)
             if impulse.shape[0] != model.size:
                 raise ParseError("filter length %d, expected %d" % (impulse.shape[0], model.size))
             filt = sampling.ReconFilter.from_impulse(impulse)

@@ -145,7 +145,8 @@ class Frame:
     @classmethod
     def from_vectors(cls, vectors):
         """Build a frame from an iterable of vectors (rows g_k)."""
-        return cls(np.conj(_as_complex_matrix(np.atleast_2d(vectors), "vectors")))
+        arr = _as_complex_matrix(np.atleast_2d(vectors), "vectors")
+        return cls._adopt(np.conj(arr, out=arr))
 
     @property
     def num_vectors(self):

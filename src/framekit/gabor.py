@@ -19,16 +19,16 @@ Gabor expansions", 1998).  S also commutes with the translations by T, so
 each Walnut block is block-circulant with p x p blocks, p = T / gcd(T, K), and
 a unitary DFT of length q = (M/K) / p block-diagonalises it (the Zak-domain
 picture of Zibulski and Zeevi).  Frames built here are Gabor frames (a private
-class): they solve those K q blocks of p x p in one stacked Jacobi call, keep
-them as their spectrum and form no M x M matrix.  S^{-1} and S^{-1/2} act
-through the Zak domain (the DFT of each residue class, the p x p blocks, the
-inverse DFT), and S^{-1} g and S^{-1/2} g are computed at most once per frame.
-As S commutes with every system shift, the canonical dual and tight frame are
-the Gabor frames of those two windows.  verify_wh_structure compares the
-prototype of a Gabor frame with a window under equal params and rejects any
-other frame.  The blocks are formed from g 2^-e under the scale rule of
-frames, so rescaling g by a power of two rescales S^{-1} g by its inverse and
-leaves S^{-1/2} g as it is, bit for bit.
+class): they solve those K q blocks of p x p in one stacked Jacobi call (or
+read, when T | K makes each a scalar), keep them as their spectrum and form no
+M x M matrix.  S^{-1} and S^{-1/2} act through the Zak domain (the DFT of each
+residue class, the p x p blocks, the inverse DFT), and S^{-1} g and S^{-1/2} g
+are computed at most once per frame.  As S commutes with every system shift,
+the canonical dual and tight frame are the Gabor frames of those two windows.
+verify_wh_structure compares the prototype of a Gabor frame with a window under
+equal params and rejects any other frame.  The blocks are formed from g 2^-e
+under the scale rule of frames, so rescaling g by a power of two rescales
+S^{-1} g by its inverse and leaves S^{-1/2} g as it is, bit for bit.
 
 A built system is shared: while a caller holds the frame of a prototype and
 params, build_gabor_frame (and so gabor_dual_prototype) returns that frame and
@@ -190,7 +190,8 @@ class _GaborFrame(Frame):
         the system, so each block is block-circulant with q = (M/K) / p blocks
         of p x p.  The unitary length-q DFT F along those blocks turns it into
         q independent p x p blocks: B_r = (F kron I_p) blockdiag_b(block (r, b))
-        (F kron I_p)^H, all K q of them solved in one stacked jacobi_eigh call.
+        (F kron I_p)^H, all K q of them solved in one stacked jacobi_eigh call,
+        or read for p = 1 (T | K), where each is the real scalar K |Phi|^2.
         Block (r, b) is K Phi Phi^H over the first u = L / q translates alone:
         translate l0 + u t is l0 moved by t lcm(T, K), a unit phase after the
         DFT, so its q copies add one block, and the unscaled DFT counts them.
@@ -198,7 +199,10 @@ class _GaborFrame(Frame):
         g, e = _normalized(self.prototype)
         u = self.params.steps // len(self.plan.dft)
         y = self._zak(g[self.plan.index[:u]].T)  # column l0 is g[n - l0 T] 2^-e
-        w, v = jacobi_eigh(self.params.mods * (y @ np.conj(np.swapaxes(y, -1, -2))))
+        blocks = self.params.mods * (y @ np.conj(np.swapaxes(y, -1, -2)))
+        if blocks.shape[-1] == 1:  # + 0.0 folds -0.0 as the solver's symmetrization does
+            return Spectrum(blocks[..., 0].real + 0.0, np.ones_like(blocks), 2 * e)
+        w, v = jacobi_eigh(blocks)
         return Spectrum(w, v, 2 * e)
 
     def _zak(self, x):

@@ -102,12 +102,6 @@ def jacobi_eigh(mat):
         raise DimensionMismatchError("matrix entries must be finite")
     shape = a.shape
     n = shape[-1]
-    if n == 1:  # nothing to rotate; + 0.0 folds -0.0 as the symmetrization does
-        # _prescaled_is_hermitian's |z - conj z| <= RTOL |z|, on |Re z|: no overflow
-        z = a[..., 0]
-        if np.any(np.abs(z.imag) > HERMITIAN_RTOL / 2 * np.abs(z.real)):
-            raise NotHermitianError("matrix is not conjugate-symmetric")
-        return z.real + 0.0, np.ones(shape, dtype=np.complex128)
     a = a.reshape(-1, n, n)
     exponent = _prescale(a)  # eigenvalues are scaled back at the end
     if not _prescaled_is_hermitian(a):

@@ -2,10 +2,11 @@
 
 The paper's identities written out directly: conjugate symmetry, a left
 inverse (L T = I), the range projection T S^-1 T^H, the time-frequency
-shift, a Weyl-Heisenberg system compared row by row and the reconstruction
-noise at each sample position.  framekit itself never calls them, so they
-live beside the tests, built from the package's own argument checks so that
-bad input fails with the same typed errors.
+shift, a Weyl-Heisenberg system compared row by row, the Wexler-Raz
+products of a dual window and the reconstruction noise at each sample
+position.  framekit itself never calls them, so they live beside the tests,
+built from the package's own argument checks so that bad input fails with the
+same typed errors.
 """
 
 import numpy as np
@@ -67,6 +68,20 @@ def wh_rows_match(frame, proto, params):
     return all(
         np.abs(translates * phase - row).max() <= tol for phase, row in zip(plan.phases, rows)
     )
+
+
+def wexler_raz_products(gamma, g, params):
+    """The (M/K, T) inner products <gamma, pi(jK, m M/T) g> with the adjoint
+    lattice's shifts, pi(x, w) h[n] = h[n - x] exp(2 pi i w n / M): gamma is
+    a dual window of g for (M, T, K) iff they are T/K at (0, 0) and 0
+    elsewhere (Wexler and Raz 1990; Janssen 1995)."""
+    gamma = _as_complex_vector(gamma, params.length, "dual window")
+    g = _as_complex_vector(g, params.length, "prototype")
+    n = np.arange(params.length)
+    translates = np.conj(g)[(n - params.mods * np.arange(params.length // params.mods)[:, None]) % params.length]
+    # exp(2 pi i (m M/T) n / M) = exp(2 pi i m n / T), from the exact T-th roots
+    phases = np.conj(_modulations(np.arange(params.shift)[:, None], params.length, params.shift))
+    return (translates * gamma) @ phases.T
 
 
 def noise_profile(filt, model, sigma2):

@@ -458,10 +458,20 @@ def test_sample_sweep_reads_the_filter_file_once(tmp_path, capsys, monkeypatch):
         return load_vector(path)
 
     monkeypatch.setattr(cli, "load_vector", counted)
+    # the filter's spectrum does not depend on the period: one FFT per sweep
+    transforms = []
+    from_impulse = sampling.ReconFilter.from_impulse.__func__
+
+    def transformed(cls, impulse):
+        transforms.append(len(impulse))
+        return from_impulse(cls, impulse)
+
+    monkeypatch.setattr(sampling.ReconFilter, "from_impulse", classmethod(transformed))
     code, out, _ = run_cli(capsys, "sample-sweep", "--n", "16", "--band", "1", "--periods", "4,2,1",
                            "--trials", "3", "--filter", str(fpath))
     assert code == 0 and len(out.strip().splitlines()) == 4
     assert loads == [str(fpath)]
+    assert transforms == [16]
 
 
 def test_sample_sweep_csv(capsys):

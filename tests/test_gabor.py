@@ -41,7 +41,7 @@ from framekit.gabor import (
     weyl_matrix,
 )
 
-from api_oracle import range_projection, weyl_shift, wh_rows_match
+from api_oracle import range_projection, wexler_raz_products, weyl_shift, wh_rows_match
 
 
 def random_proto(rng, length):
@@ -622,6 +622,45 @@ def test_block_operators_match_the_dense_oracle(monkeypatch):
     assert spanning >= len(WALNUT_CONFIGS) // 2
 
 
+def test_dual_windows_satisfy_the_wexler_raz_identity():
+    # gamma is a dual window of g for (M, T, K) iff <gamma, pi(jK, m M/T) g> is
+    # T/K at j = m = 0 and 0 elsewhere, an identity that reads neither the Zak
+    # blocks nor the solver; held to 32 eps (B/A) |g| |gamma|, the deviation
+    # being up to 4.3 eps (B/A) |g| |gamma| here.  One entry of gamma moved by
+    # 4 times that tolerance breaks it, and so does g/A for a system that is
+    # not tight
+    rng = np.random.default_rng(223)
+    eps = np.finfo(float).eps
+    cases, routes = 0, set()
+    for p in WALNUT_CONFIGS:
+        want = np.zeros((p.length // p.mods, p.shift))
+        want[0, 0] = p.shift / p.mods
+        for g in (named_prototype("gaussian", p.length), named_prototype("boxcar", p.length),
+                  random_proto(rng, p.length)):
+            bounds = frame_bounds(build_gabor_frame(g, p))
+            if not bounds.spans():
+                continue
+            routes.add(zak_shape(p)[-1] > 1)
+            cond = bounds.upper / bounds.lower
+            for s in (1.0, 2.0**400, 2.0**-400):
+                gs = g * s
+                gamma = gabor_dual_prototype(gs, p)
+                tol = 32 * eps * cond * np.linalg.norm(gs) * np.linalg.norm(gamma)
+
+                def deviation(window):
+                    return np.max(np.abs(wexler_raz_products(window, gs, p) - want))
+
+                assert deviation(gamma) <= tol, (p, s)
+                moved = gamma.copy()
+                n0 = np.argmax(np.abs(gs))
+                moved[n0] += 4 * tol / np.abs(gs[n0])
+                assert deviation(moved) > tol, (p, s)
+                if not bounds.is_tight():
+                    assert deviation(gs / (s * s * bounds.lower)) > tol, (p, s)
+                cases += 1
+    assert cases >= 100 and routes == {False, True}
+
+
 def test_walnut_path_rejects_the_delta_window():
     p = GaborParams(length=4, shift=2, mods=4)
     delta = np.array([1.0, 0.0, 0.0, 0.0])
@@ -662,24 +701,27 @@ def record_solves(monkeypatch):
 def test_gabor_check_solves_no_dense_operator(monkeypatch, capsys, fresh_systems):
     from framekit import cli
 
-    # one stacked solve per check; gabor_dual_prototype reads the spectrum of
-    # the live system.  (48, 4, 12): the 12 Walnut blocks of 4 x 4 are
-    # circulant (p = 1), so the DFT leaves 12 x 4 blocks of 1 x 1.  (48, 6, 8):
-    # the 8 blocks of 6 x 6 hold q = 2 circulant blocks of p = 3.
-    for shift, mods, want in [("4", "12", (12, 4, 1, 1)), ("6", "8", (8, 2, 3, 3))]:
+    # at most one stacked solve per check; gabor_dual_prototype reads the
+    # spectrum of the live system.  (48, 4, 12): the 12 Walnut blocks of 4 x 4
+    # are circulant (p = 1), so the DFT leaves 12 x 4 scalars, read with no
+    # solve.  (48, 6, 8): the 8 blocks of 6 x 6 hold q = 2 circulant blocks of
+    # p = 3, solved in one call.
+    for shift, mods, want in [("4", "12", []), ("6", "8", [(8, 2, 3, 3)])]:
         shapes = record_solves(monkeypatch)
         argv = ["gabor-check", "--proto", "gaussian", "--n", "48", "--shift", shift, "--mods", mods]
         assert cli.run(argv) == 0
         assert '"wh_structure": true' in capsys.readouterr().out
-        assert shapes == [want]
+        assert shapes == want
 
 
 def test_each_walnut_spectrum_is_one_stacked_p_by_p_solve(monkeypatch):
+    # p > 1: one stacked (K, q, p, p) solve; p = 1: the 1 x 1 blocks are read
     rng = np.random.default_rng(157)
     for p in WALNUT_CONFIGS:
         shapes = record_solves(monkeypatch)
         frame_bounds(build_gabor_frame(random_proto(rng, p.length), p))
-        assert shapes == [zak_shape(p)], p
+        assert shapes == ([zak_shape(p)] if zak_shape(p)[-1] > 1 else []), p
+    assert {zak_shape(p)[-1] > 1 for p in WALNUT_CONFIGS} == {False, True}
 
 
 def test_unit_dft_spectrum_is_the_plain_walnut_solve():
@@ -840,7 +882,7 @@ def test_each_window_is_computed_once_per_frame(monkeypatch):
 
 def test_dual_prototype_reuses_the_live_system(monkeypatch):
     rng = np.random.default_rng(127)
-    p = GaborParams(length=48, shift=4, mods=12)
+    p = GaborParams(length=48, shift=6, mods=8)  # p = 3: a frame that solves
     g = random_proto(rng, 48)
     system = build_gabor_frame(g, p)
     frame_bounds(system)

@@ -73,20 +73,15 @@ def test_one_by_one_and_zero():
     assert np.allclose(v @ v.conj().T, np.eye(3))
 
 
-def test_one_by_one_members_skip_the_sweeps(monkeypatch):
-    # a 1 x 1 member has no pair to rotate: its eigenvalue is the real part
+def test_one_by_one_members_skip_the_sweeps():
+    # a 1 x 1 member has no pair to rotate, so its off-diagonal mass is 0 and
+    # the general route stops before a sweep: its eigenvalue is the real part
     # of (a + conj(a)) / 2 at a power-of-two scale, scaled back, which is
-    # exact (and folds -0.0 into +0.0), and its eigenvector is 1; no sweep
-    # is started
+    # exact (and folds -0.0 into +0.0), and its eigenvector is 1
     values = np.array([4.0, -3.5, 0.0, -0.0, 5e-324, 1e-300, -1e300, 1.7e308])
     z = values + 1j * 1e-14 * values  # an imaginary part within HERMITIAN_RTOL
-    # the sweep path's own bits: diag(z, z) is symmetrized and never rotated
+    # the bits of diag(z, z), which is symmetrized and never rotated
     want = jacobi_eigh(z[:, None, None] * np.eye(2))[0][:, 0]
-
-    def no_sweep(mat):
-        raise AssertionError("a 1 x 1 stack started a sweep")
-
-    monkeypatch.setattr(hermitian, "off_diagonal_mass", no_sweep)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         w, v = jacobi_eigh(z.reshape(2, 4, 1, 1))
@@ -102,9 +97,9 @@ def test_one_by_one_members_skip_the_sweeps(monkeypatch):
 
 
 def test_one_by_one_path_keeps_the_checks_at_any_magnitude():
-    # the 1 x 1 path skips the power-of-two scaling and is_hermitian, but keeps
-    # the finiteness check and is_hermitian's relative tolerance
-    # |z - conj(z)| <= HERMITIAN_RTOL |z| at every magnitude, without a warning
+    # a 1 x 1 matrix takes the route of every size: the finiteness check, and
+    # the relative tolerance |z - conj(z)| <= HERMITIAN_RTOL |z| at every
+    # magnitude after the power-of-two scaling, without a warning
     assert hermitian.HERMITIAN_RTOL == 1e-12
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -118,6 +113,12 @@ def test_one_by_one_path_keeps_the_checks_at_any_magnitude():
             assert w.tolist() == [x] and v.tolist() == [[1.0]]
         with pytest.raises(NotHermitianError):
             jacobi_eigh([[complex(1.5e308, 1.5e308)]])  # |z| is above 1.8e308
+        # Im z / Re z is 5.00000000001703e-13, just over HERMITIAN_RTOL / 2,
+        # with a subnormal Im z: rejected, as z 2^600 and diag(z, z) are
+        z = complex(1e-300, 5e-313)
+        for bad in ([[z]], [[z * 2.0**600]], np.diag([z, z])):
+            with pytest.raises(NotHermitianError):
+                jacobi_eigh(bad)
         w, _ = jacobi_eigh([[[-0.0]], [[complex(-0.0, -0.0)]], [[0.0]]])
         assert w.tolist() == [[0.0]] * 3 and not np.signbit(w).any()
         z = np.array([1.0, -3.5, 1e100, -1e-100, 0.1, 0.0]) * (1 + 1e-13j)
