@@ -247,7 +247,7 @@ def _sampling_runs(req):
             impulse = load_vector(req.filter)
             if impulse.shape[0] != model.size:
                 raise ParseError("filter length %d, expected %d" % (impulse.shape[0], model.size))
-            filt = sampling.ReconFilter.from_impulse(impulse)
+            filt = np.fft.fft(impulse)
         if signal is None:
             signal = sampling.make_bandlimited(req.n, req.band, req.seed)
         yield model, filt, signal

@@ -39,13 +39,13 @@ from .errors import (
     NotUnitaryError,
     NumericOverflowError,
 )
-from .hermitian import jacobi_eigh
+from .hermitian import _as_complex, jacobi_eigh
 
 FRAME_RTOL = 1e-10
 
 
 def _as_complex_matrix(obj, name="matrix", shape=None):
-    arr = np.array(obj, dtype=np.complex128)
+    arr = _as_complex(obj, name)
     if arr.ndim != 2:
         raise DimensionMismatchError("%s must be 2-D, got %d-D" % (name, arr.ndim))
     if arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -59,7 +59,7 @@ def _as_complex_matrix(obj, name="matrix", shape=None):
 
 def _as_complex_vector(obj, length, name="vector"):
     """obj flattened to complex128: a view of obj where numpy allows."""
-    arr = np.asarray(obj, dtype=np.complex128).reshape(-1)
+    arr = _as_complex(obj, name, np.asarray).reshape(-1)
     if arr.shape[0] != length:
         raise DimensionMismatchError(
             "%s has length %d, expected %d" % (name, arr.shape[0], length)
@@ -145,7 +145,8 @@ class Frame:
     @classmethod
     def from_vectors(cls, vectors):
         """Build a frame from an iterable of vectors (rows g_k)."""
-        arr = _as_complex_matrix(np.atleast_2d(vectors), "vectors")
+        arr = np.atleast_2d(_as_complex(vectors, "vectors", np.asarray))
+        arr = _as_complex_matrix(arr, "vectors")
         return cls._adopt(np.conj(arr, out=arr))
 
     @property

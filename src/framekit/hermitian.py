@@ -27,6 +27,15 @@ SWEEP_LIMIT = 100
 HERMITIAN_RTOL = 1e-12
 
 
+def _as_complex(obj, name, convert=np.array):
+    """convert(obj, dtype=complex128), or DimensionMismatchError naming obj
+    where numpy cannot convert it: ragged, non-numeric or beyond complex128."""
+    try:
+        return convert(obj, dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError):
+        raise DimensionMismatchError("%s must be a rectangular array of complex128 numbers" % name) from None
+
+
 def _conj_t(a):
     return np.conj(np.swapaxes(a, -1, -2))
 
@@ -95,7 +104,7 @@ def jacobi_eigh(mat):
     v : (..., n, n) complex ndarray, unitary, columns are eigenvectors, so
         mat @ v[..., :, i] == w[..., i] * v[..., :, i].
     """
-    a = np.array(mat, dtype=np.complex128)
+    a = _as_complex(mat, "matrix")
     if a.ndim < 2 or not 0 < a.shape[-1] == a.shape[-2]:
         raise DimensionMismatchError("expected a nonempty square matrix, got shape %r" % (a.shape,))
     if not np.isfinite(a).all():

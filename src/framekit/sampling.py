@@ -14,8 +14,8 @@ Subsampling folds the spectrum: fft(zero-stuffed y) at bin nu is
 signal is possible iff 2W+1 <= L, and holds exactly for any filter with
 H = Ts on the passband and H = 0 on the passband's alias images
 (nu congruent to a passband bin mod L); all remaining bins are free.
-A filter is held as its DFT H alone; analytic_mse returns the noise MSE
-sigma2/(N Ts) * sum |H|^2, and its per-position profile is a test oracle.
+A filter is its DFT H, the length-N array fft(h) of its impulse response h;
+analytic_mse returns the noise MSE sigma2/(N Ts) * sum |H|^2.
 """
 
 import cmath
@@ -33,6 +33,7 @@ from .errors import (
     SizeLimitError,
 )
 from .frames import Frame, _as_complex_vector, _check_integers
+from .hermitian import _as_complex
 
 PR_TOL = 1e-9
 # Monte Carlo work limit, trials * N.  With trials >= 1 it also bounds N, so
@@ -138,17 +139,6 @@ def sample(x, model):
     return _as_complex_vector(x, model.size, "signal")[:: model.period].copy()
 
 
-@dataclass(frozen=True)
-class ReconFilter:
-    """A reconstruction filter held as its DFT H; its impulse response is ifft(H)."""
-
-    spectrum: np.ndarray
-
-    @classmethod
-    def from_impulse(cls, impulse):
-        return cls(np.fft.fft(np.asarray(impulse, dtype=np.complex128)))
-
-
 def _check_no_aliasing(model):
     if model.passband_width > model.num_samples:
         raise AliasingError(
@@ -158,7 +148,7 @@ def _check_no_aliasing(model):
 
 
 def _filter_spectrum(filt, model):
-    spectrum = np.asarray(filt.spectrum)
+    spectrum = _as_complex(filt, "filter", np.asarray)
     if spectrum.shape != (model.size,):
         raise DimensionMismatchError("filter length %r, expected %d" % (spectrum.shape, model.size))
     return spectrum
@@ -169,7 +159,7 @@ def ideal_lowpass(model):
     _check_no_aliasing(model)
     spectrum = np.zeros(model.size, dtype=np.complex128)
     spectrum[passband_bins(model) % model.size] = model.period
-    return ReconFilter(spectrum)
+    return spectrum
 
 
 def make_recon_filter(model, dontcare_values=None):
@@ -179,7 +169,7 @@ def make_recon_filter(model, dontcare_values=None):
     number other than a bool; assigning a passband or alias-image bin raises,
     since PR pins those.
     """
-    spectrum = ideal_lowpass(model).spectrum.copy()
+    spectrum = ideal_lowpass(model)
     half = model.size // 2
     free = set(int(b) for b in dontcare_bins(model))
     for nu, value in (dontcare_values or {}).items():
@@ -199,7 +189,7 @@ def make_recon_filter(model, dontcare_values=None):
         if not finite:
             raise DimensionMismatchError("gain at bin %d must be a finite number" % nu)
         spectrum[nu % model.size] = complex(value)
-    return ReconFilter(spectrum)
+    return spectrum
 
 
 def is_perfect(filt, model):
@@ -254,9 +244,9 @@ def mse_decomposition(filt, model, sigma2):
     for the ideal lowpass.
     """
     _check_sigma2(sigma2)
-    if not is_perfect(filt, model):
+    spectrum = _filter_spectrum(filt, model)
+    if not is_perfect(spectrum, model):
         raise NotPerfectReconstructionError("filter does not satisfy the PR constraints")
-    spectrum = np.asarray(filt.spectrum)
     inband = np.abs(centered_bins(model.size)) <= model.band
     return tuple(_noise_power(spectrum[bins], model, sigma2) for bins in (inband, ~inband))
 

@@ -427,7 +427,7 @@ def test_sample_filter_file(tmp_path, capsys):
     from framekit.sampling import SamplingModel, ideal_lowpass
 
     model = SamplingModel(size=16, band=1, period=4)
-    impulse = np.fft.ifft(ideal_lowpass(model).spectrum).reshape(1, -1)
+    impulse = np.fft.ifft(ideal_lowpass(model)).reshape(1, -1)
     fpath = tmp_path / "h.json"
     fpath.write_text(dumps_report(matrix_to_json(impulse)))
     report = out_json(
@@ -448,25 +448,27 @@ def test_sample_filter_file(tmp_path, capsys):
 
 
 def test_sample_sweep_reads_the_filter_file_once(tmp_path, capsys, monkeypatch):
-    impulse = np.fft.ifft(sampling.ideal_lowpass(sampling.SamplingModel(size=16, band=1, period=4)).spectrum)
+    impulse = np.fft.ifft(sampling.ideal_lowpass(sampling.SamplingModel(size=16, band=1, period=4)))
     fpath = tmp_path / "h.csv"
     fpath.write_text(matrix_csv_text(impulse.reshape(1, -1)))
-    loads = []
+    loads, impulses = [], []
 
     def counted(path):
         loads.append(path)
-        return load_vector(path)
+        impulses.append(load_vector(path))
+        return impulses[-1]
 
     monkeypatch.setattr(cli, "load_vector", counted)
-    # the filter's spectrum does not depend on the period: one FFT per sweep
+    # the filter's spectrum does not depend on the period: one FFT of the
+    # loaded impulse per sweep
     transforms = []
-    from_impulse = sampling.ReconFilter.from_impulse.__func__
+    fft = np.fft.fft
 
-    def transformed(cls, impulse):
-        transforms.append(len(impulse))
-        return from_impulse(cls, impulse)
+    def transformed(a, *args, **kwargs):
+        transforms.extend(len(a) for impulse in impulses if a is impulse)
+        return fft(a, *args, **kwargs)
 
-    monkeypatch.setattr(sampling.ReconFilter, "from_impulse", classmethod(transformed))
+    monkeypatch.setattr(np.fft, "fft", transformed)
     code, out, _ = run_cli(capsys, "sample-sweep", "--n", "16", "--band", "1", "--periods", "4,2,1",
                            "--trials", "3", "--filter", str(fpath))
     assert code == 0 and len(out.strip().splitlines()) == 4

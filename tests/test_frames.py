@@ -35,7 +35,9 @@ from framekit import (
     tighten,
     unitary_transform,
 )
+from framekit import sampling
 from framekit.frames import FRAME_RTOL
+from framekit.gabor import GaborParams, build_gabor_frame, gabor_dual_prototype
 
 from api_oracle import is_left_inverse, range_projection
 from conftest import random_frame, random_unitary, random_vector
@@ -701,6 +703,48 @@ def test_reconstruct_and_unitary_transform_overflow_is_typed_and_silent():
             unitary_transform(f, np.full((2, 2), 1e200))
         with pytest.raises(NumericOverflowError, match="transformed frame overflows"):
             unitary_transform(Frame([[1.5e308, 1.5e308], [1.0, 0.0]]), rotation)
+
+
+def _array_entry_points():
+    """(argument name, call) for every library entry point that converts an
+    array-like argument; matrix arguments take arg, vector arguments its
+    flattened form flat."""
+    f = harmonic_frame(2, 2)
+    params = GaborParams(length=4, shift=2, mods=2)
+    model = sampling.SamplingModel(size=8, band=1, period=2)
+    ideal, signal = sampling.ideal_lowpass(model), np.zeros(8)
+    return [
+        ("analysis", lambda arg, flat: Frame(arg)),
+        ("vectors", lambda arg, flat: Frame.from_vectors(arg)),
+        ("signal", lambda arg, flat: analyze(f, flat)),
+        ("free_param", lambda arg, flat: left_inverse(f, arg)),
+        ("u", lambda arg, flat: unitary_transform(f, arg)),
+        ("coeffs", lambda arg, flat: reconstruct(f, f, flat)),
+        ("matrix", lambda arg, flat: jacobi_eigh(arg)),
+        ("prototype", lambda arg, flat: build_gabor_frame(flat, params)),
+        ("prototype", lambda arg, flat: gabor_dual_prototype(flat, params)),
+        ("signal", lambda arg, flat: sampling.sample(flat, model)),
+        ("samples", lambda arg, flat: sampling.reconstruct(flat, ideal, model)),
+        ("signal", lambda arg, flat: sampling.monte_carlo_mse(flat, ideal, model, 1.0, 2, 0)),
+        ("filter", lambda arg, flat: sampling.is_perfect(flat, model)),
+        ("filter", lambda arg, flat: sampling.reconstruct(np.zeros(4), flat, model)),
+        ("filter", lambda arg, flat: sampling.analytic_mse(flat, model, 1.0)),
+        ("filter", lambda arg, flat: sampling.mse_decomposition(flat, model, 1.0)),
+        ("filter", lambda arg, flat: sampling.monte_carlo_mse(signal, flat, model, 1.0, 2, 0)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "arg, flat",
+    [([[1, 2], [3]], [1, [2, 3]]), ([[{}]], [{}]), ([[10**400]], [10**400])],
+    ids=["ragged", "non-numeric", "beyond-complex128"],
+)
+def test_malformed_arrays_fail_typed(arg, flat):
+    # numpy's ValueError, TypeError or OverflowError never leaves the library:
+    # each entry point names the argument it could not convert
+    for name, call in _array_entry_points():
+        with pytest.raises(DimensionMismatchError, match="^%s must be a rectangular array" % name):
+            call(arg, flat)
 
 
 def test_bounds_of_huge_frames_are_not_truncated():

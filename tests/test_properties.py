@@ -34,6 +34,7 @@ from framekit import (
 from framekit.gabor import GaborParams, build_gabor_frame, gabor_dual_prototype
 from framekit.hermitian import OFF_TOLERANCE
 from framekit.serialization import dumps_report
+from api_oracle import wexler_raz_products
 from report_oracle import matrix_to_json
 
 from conftest import random_frame, random_unitary
@@ -183,6 +184,34 @@ def test_gabor_dual_window_solves_the_frame_operator(seed, lattice, k):
     want = np.linalg.solve(frame_operator(Frame(system.analysis)), g)
     tol = 1e-12 * (bounds.upper / bounds.lower) * np.max(np.abs(want))
     assert np.max(np.abs(gabor_dual_prototype(g, params) - want)) <= tol
+
+
+@PROPERTY
+@given(seeds, lattices, st.integers(min_value=-400, max_value=400))
+def test_gabor_dual_window_satisfies_the_wexler_raz_identity(seed, lattice, k):
+    # <gamma, pi(jK, m M/T) g> = (T/K) delta_j0 delta_m0 for the dual window
+    # of every spanning system, within 32 eps (B/A) |g| |gamma|; gamma moved
+    # at argmax |g| by 4 times that tolerance breaks the identity
+    m, t, mods = lattice
+    params = GaborParams(length=m, shift=t, mods=mods)
+    rng = np.random.default_rng(seed)
+    g = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * 2.0**k
+    bounds = frame_bounds(build_gabor_frame(g, params))
+    if not bounds.spans():
+        return
+    gamma = gabor_dual_prototype(g, params)
+    tol = 32 * EPS * (bounds.upper / bounds.lower) * np.linalg.norm(g) * np.linalg.norm(gamma)
+    want = np.zeros((m // mods, t))
+    want[0, 0] = t / mods
+
+    def deviation(window):
+        return np.max(np.abs(wexler_raz_products(window, g, params) - want))
+
+    assert deviation(gamma) <= tol
+    n0 = np.argmax(np.abs(g))
+    moved = gamma.copy()
+    moved[n0] += 4 * tol / np.abs(g[n0])
+    assert deviation(moved) > tol
 
 
 FRAME_VERBS = ("frame-bounds", "frame-dual", "frame-tighten", "frame-naimark", "frame-exactness")
